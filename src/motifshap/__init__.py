@@ -27,6 +27,7 @@ from .engine import (
     WeightingScheme,
     approx_explain,
     exact_explain,
+    explain_depths,
     query_budget,
 )
 from .errors import (
@@ -75,7 +76,7 @@ __all__ = [
     "BlackBox", "ExternalBlackBox", "GroundTruthScorer", "LinearSurrogate",
     "TrainConfig", "accuracy", "serve", "train_linear_surrogate",
     "CoalitionLattice", "Explanation", "WeightingScheme", "approx_explain",
-    "exact_explain", "query_budget",
+    "exact_explain", "explain_depths", "query_budget",
     "ConfigurationError", "DegenerateTrainingError", "EmptyDatasetError",
     "InputFormatError", "LatticeTooLargeError", "MotifShapError",
     "ParameterError", "TransportError", "UndefinedCorrelationError",

@@ -35,7 +35,7 @@ from .errors import (
     TransportError,
     UniverseMismatchError,
 )
-from .graphs import Graph, LabeledDataset, Motif, pair_index
+from .graphs import Graph, LabeledDataset, Motif, pack_edges, pair_index
 
 PROTOCOL_HELLO = "motif-shap/1"
 
@@ -52,9 +52,6 @@ class BlackBox:
     """Base contract: deterministic evaluate(g) in [0,1] plus a batch
     entry point the lattice engine calls with deduplicated graphs."""
 
-    #: True when evaluate may be called from several threads at once.
-    concurrency_safe = False
-
     def evaluate(self, g: Graph) -> float:
         raise NotImplementedError
 
@@ -68,10 +65,9 @@ class GroundTruthScorer(BlackBox):
     overlap_k is the mean edge weight of motif k's edges in the graph,
     so 1 when fully present and 0 when fully absent. The raw score sums
     class_sign_k * (2*overlap_k - 1) * u_k and is squashed through a
-    logistic with steepness beta.
+    logistic with steepness beta. On an unweighted graph the overlap is a
+    popcount of the graph's edge bits against the motif's.
     """
-
-    concurrency_safe = True
 
     def __init__(self, n: int, motifs: Sequence[Motif],
                  importances: Sequence[float], beta: float = 2.0):
@@ -92,14 +88,18 @@ class GroundTruthScorer(BlackBox):
         self.motifs = tuple(motifs)
         self.importances = tuple(float(u) for u in importances)
         self.beta = float(beta)
+        self._motif_bits = tuple(pack_edges(m.edges, n) for m in self.motifs)
 
     def evaluate(self, g: Graph) -> float:
         if g.n != self.n:
             raise UniverseMismatchError(
                 f"graph over {g.n} nodes, scorer over {self.n}")
         raw = 0.0
-        for m, u in zip(self.motifs, self.importances):
-            overlap = sum(g.weight(e) for e in m.edges) / len(m.edges)
+        for m, bits, u in zip(self.motifs, self._motif_bits, self.importances):
+            if g.weights is None:
+                overlap = (g.edge_bits & bits).bit_count() / len(m.edges)
+            else:
+                overlap = sum(g.weight(e) for e in m.edges) / len(m.edges)
             raw += m.class_sign * (2.0 * overlap - 1.0) * u
         return sigmoid(self.beta * raw)
 
@@ -117,8 +117,6 @@ class TrainConfig:
 
 class LinearSurrogate(BlackBox):
     """Logistic model over the n*(n-1)/2 node-pair weight features."""
-
-    concurrency_safe = True
 
     def __init__(self, n: int, weights: np.ndarray, bias: float,
                  config: TrainConfig | None = None,
@@ -211,8 +209,6 @@ class ExternalBlackBox(BlackBox):
     malformed reply, id mismatch, out-of-range p, timeout) raises
     TransportError; there are no silent fallbacks.
     """
-
-    concurrency_safe = False
 
     def __init__(self, command: Sequence[str], timeout: float = 30.0):
         if not command:

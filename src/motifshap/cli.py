@@ -41,6 +41,7 @@ from .engine import (
     WeightingScheme,
     approx_explain,
     exact_explain,
+    explain_depths,
 )
 from .errors import (
     InputFormatError,
@@ -441,14 +442,14 @@ def _cmd_eval_approx_corr(args: argparse.Namespace) -> int:
     try:
         for i in _select_graph_indices(dataset, args.limit):
             g = dataset.graphs[i]
-            exact = exact_explain(g, bb, motifs, strategy, weighting,
-                                  graph_id=i, exact_limit=args.exact_limit)
+            # every depth's coalitions are in the exact lattice
+            exact, approx = explain_depths(g, bb, motifs, strategy, weighting,
+                                           depths, graph_id=i,
+                                           exact_limit=args.exact_limit)
             entry: dict = {"graph": i, "pearson": {}}
             for d in depths:
-                approx = approx_explain(g, bb, motifs, strategy, weighting,
-                                        depth=d, graph_id=i)
                 try:
-                    r = pearson(approx.scores, exact.scores)
+                    r = pearson(approx[d].scores, exact.scores)
                 except UndefinedCorrelationError:
                     r = None
                     skipped += 1

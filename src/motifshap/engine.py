@@ -13,18 +13,20 @@ terms whose masked sets lie within distance d of the fully-masked
 lattice node (|S| >= |M| - d) and at d = |M| reproduces the exact result
 bit for bit.
 
-Scores are accumulated with math.fsum in a fixed coalition-index order,
-so results do not depend on evaluation order or parallelism.
+Each score is one math.fsum over its marginal terms. fsum is correctly
+rounded, so the result does not depend on the order of the terms or of
+the evaluations.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from .blackbox import BlackBox
 from .errors import (
@@ -33,13 +35,15 @@ from .errors import (
     ParameterError,
     UniverseMismatchError,
 )
-from .graphs import Graph, Motif
+from .graphs import Edge, Graph, Motif, all_pairs
 from .masking import MaskingStrategy
-
-THREADS_ENV = "MOTIF_SHAP_THREADS"
 
 #: Largest motif set exact_explain will enumerate (2^20 coalitions).
 DEFAULT_EXACT_LIMIT = 20
+
+#: Distinct coalition graphs sent to the black box per evaluate_batch call,
+#: so a lattice holds at most this many masked graphs at once.
+BATCH_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -88,12 +92,25 @@ class WeightingScheme:
 
 @dataclass(frozen=True)
 class CoalitionLattice:
-    """Black-box values of the evaluated coalitions, keyed by the
-    masked-set bitmask (bit i set = motif i masked)."""
+    """Black-box values of the evaluated coalitions. masks holds the
+    masked-set bitmasks in ascending order (bit i set = motif i masked);
+    values[j] is the value of masks[j] and slots[j] the distinct query it
+    was merged into."""
 
     n_motifs: int
-    values: dict[int, float]
-    query_count: int
+    masks: np.ndarray
+    values: np.ndarray
+    slots: np.ndarray
+
+    @property
+    def query_count(self) -> int:
+        return len(np.unique(self.slots))
+
+    def at_least(self, min_size: int) -> "CoalitionLattice":
+        """The coalitions with at least min_size masked motifs."""
+        keep = _popcounts(self.masks) >= min_size
+        return CoalitionLattice(self.n_motifs, self.masks[keep],
+                                self.values[keep], self.slots[keep])
 
 
 @dataclass(frozen=True)
@@ -127,29 +144,22 @@ def query_budget(n_motifs: int, depth: int | str) -> int:
     return sum(math.comb(n_motifs, k) for k in range(min(d, n_motifs) + 1))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    return max(threads, 1)
-
-
-def _evaluate_graphs(bb: BlackBox, graphs: list[Graph]) -> list[float]:
-    threads = _worker_count()
-    if threads > 1 and bb.concurrency_safe and len(graphs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(bb.evaluate, graphs))
-    return bb.evaluate_batch(graphs)
+@lru_cache(maxsize=8)
+def _pair_positions(n: int) -> dict[Edge, int]:
+    return {e: i for i, e in enumerate(all_pairs(n))}
 
 
 def _graph_key(g: Graph):
+    """Content key of a masked graph: its edge bits, plus, when it is
+    weighted, the bytes of its edge weights in pair_index order."""
     if g.weights is None:
-        return (g.edges, None)
-    return (g.edges, tuple(sorted(g.weights.items())))
+        return g.edge_bits
+    weights = {**dict.fromkeys(g.edges, 1.0), **g.weights}
+    positions = _pair_positions(g.n)
+    order = np.argsort(np.fromiter(map(positions.__getitem__, weights), np.int64, len(weights)))
+    values = np.fromiter(weights.values(), np.float64, len(weights))[order]
+    # + 0.0 turns -0.0 into 0.0, which compares equal to it
+    return g.edge_bits, (values + 0.0).tobytes()
 
 
 def _check_motifs(g: Graph, motifs: Sequence[Motif]) -> None:
@@ -167,39 +177,84 @@ def _check_motifs(g: Graph, motifs: Sequence[Motif]) -> None:
 def evaluate_lattice(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
                      strategy: MaskingStrategy,
                      masks: Sequence[int]) -> CoalitionLattice:
-    """Evaluate the black box on the given masked-set bitmasks, merging
-    coalitions whose masked graphs are identical and submitting one batch."""
+    """Evaluate the black box on the given masked-set bitmasks (ascending),
+    merging coalitions whose masked graphs are identical. Distinct graphs go
+    to bb.evaluate_batch in batches of BATCH_SIZE as they are found."""
     m = len(motifs)
-    unique_graphs: list[Graph] = []
     slot_by_key: dict = {}
-    slot_by_mask: dict[int, int] = {}
-    for mask in masks:
+    slots = np.empty(len(masks), dtype=np.int64)
+    slot_values: list[float] = []
+    pending: list[Graph] = []
+    for j, mask in enumerate(masks):
         subset = [motifs[i] for i in range(m) if mask >> i & 1]
         masked = strategy.mask(g, subset)
         key = _graph_key(masked)
         slot = slot_by_key.get(key)
         if slot is None:
-            slot = len(unique_graphs)
-            slot_by_key[key] = slot
-            unique_graphs.append(masked)
-        slot_by_mask[mask] = slot
-    values = _evaluate_graphs(bb, unique_graphs)
+            slot = slot_by_key[key] = len(slot_by_key)
+            pending.append(masked)
+            if len(pending) == BATCH_SIZE:
+                slot_values += bb.evaluate_batch(pending)
+                pending = []
+        slots[j] = slot
+    if pending:
+        slot_values += bb.evaluate_batch(pending)
     return CoalitionLattice(
         n_motifs=m,
-        values={mask: values[slot] for mask, slot in slot_by_mask.items()},
-        query_count=len(unique_graphs),
+        # int64 holds the masks of up to 63 motifs; beyond that, Python ints
+        masks=np.asarray(masks, dtype=np.int64 if m < 64 else object),
+        values=np.asarray(slot_values, dtype=np.float64)[slots],
+        slots=slots,
     )
 
 
-def _masks_at_least(m: int, min_size: int) -> list[int]:
+def _popcounts(masks: np.ndarray) -> np.ndarray:
+    return np.array([x.bit_count() for x in masks.tolist()], dtype=np.int64)
+
+
+def _masks_at_least(m: int, min_size: int) -> Sequence[int]:
     """Bitmasks of all subsets of m motifs with size >= min_size, in
-    ascending integer order (the fixed summation order)."""
+    ascending integer order."""
+    if min_size <= 0:
+        return range(1 << m)
     masks = []
-    for size in range(max(min_size, 0), m + 1):
+    for size in range(min_size, m + 1):
         for combo in itertools.combinations(range(m), size):
             masks.append(sum(1 << i for i in combo))
     masks.sort()
     return masks
+
+
+def _scores(lattice: CoalitionLattice, weighting: WeightingScheme) -> list[float]:
+    """Score of each motif i: fsum over the lattice's masks S without i of
+    weight(|S|) * (B(G_S) - B(G_{S u {i}})). S u {i} must be in the lattice,
+    which holds for every mask set closed under adding motifs."""
+    m = lattice.n_motifs
+    masks, values = lattice.masks, lattice.values
+    table = np.array([weighting.weight(s, m) for s in range(m)], dtype=np.float64)
+    sizes = _popcounts(masks)
+    scores = []
+    for i in range(m):
+        bit = 1 << i
+        lo = np.flatnonzero((masks & bit) == 0)
+        hi = np.searchsorted(masks, masks[lo] | bit)
+        terms = table[sizes[lo]] * (values[lo] - values[hi])
+        scores.append(math.fsum(terms.tolist()))
+    return scores
+
+
+def _explanation(lattice: CoalitionLattice, motifs: Sequence[Motif],
+                 strategy: MaskingStrategy, weighting: WeightingScheme,
+                 depth_label: int | str, graph_id: int) -> Explanation:
+    return Explanation(
+        graph_id=graph_id,
+        motif_ids=tuple(mot.id for mot in motifs),
+        scores=tuple(_scores(lattice, weighting)),
+        strategy=strategy.kind,
+        weighting=weighting.variant,
+        depth=depth_label,
+        query_count=lattice.query_count,
+    )
 
 
 def _explain(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
@@ -207,45 +262,27 @@ def _explain(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
              depth: int, depth_label: int | str, graph_id: int,
              normalize: bool) -> Explanation:
     m = len(motifs)
-    masks = _masks_at_least(m, m - depth)
-    lattice = evaluate_lattice(g, bb, motifs, strategy, masks)
-    values = lattice.values
-    query_count = lattice.query_count
-
-    scores = []
-    for i in range(m):
-        bit = 1 << i
-        terms = []
-        for mask in masks:
-            if mask & bit:
-                continue
-            size = mask.bit_count()
-            if size < m - depth:
-                continue
-            w = weighting.weight(size, m)
-            terms.append(w * (values[mask] - values[mask | bit]))
-        scores.append(math.fsum(terms))
-
+    lattice = evaluate_lattice(g, bb, motifs, strategy, _masks_at_least(m, m - depth))
+    ex = _explanation(lattice, motifs, strategy, weighting, depth_label, graph_id)
     if normalize and depth < m:
         # rescale so the truncated scores reproduce the exact-efficiency
         # gap B(G_empty) - B(G_allmasked); needs one extra evaluation for
         # the unmasked coalition
         extra = evaluate_lattice(g, bb, motifs, strategy, [0])
-        query_count += extra.query_count
-        gap = extra.values[0] - values[(1 << m) - 1]
-        total = math.fsum(scores)
+        gap = float(extra.values[0]) - float(lattice.values[-1])
+        total = math.fsum(ex.scores)
+        scores = ex.scores
         if total != 0.0:
-            scores = [x * gap / total for x in scores]
+            scores = tuple(x * gap / total for x in scores)
+        ex = replace(ex, scores=scores, query_count=ex.query_count + extra.query_count)
+    return ex
 
-    return Explanation(
-        graph_id=graph_id,
-        motif_ids=tuple(mot.id for mot in motifs),
-        scores=tuple(scores),
-        strategy=strategy.kind,
-        weighting=weighting.variant,
-        depth=depth_label,
-        query_count=query_count,
-    )
+
+def _check_exact_limit(m: int, exact_limit: int) -> None:
+    if m > exact_limit:
+        raise LatticeTooLargeError(
+            f"{m} motifs means 2^{m} coalitions, above the limit of "
+            f"{exact_limit}; use approx_explain with a depth bound")
 
 
 def exact_explain(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
@@ -256,10 +293,7 @@ def exact_explain(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
     """Exact scores over the full coalition lattice (2^|M| coalitions)."""
     _check_motifs(g, motifs)
     m = len(motifs)
-    if m > exact_limit:
-        raise LatticeTooLargeError(
-            f"{m} motifs means 2^{m} coalitions, above the limit of "
-            f"{exact_limit}; use approx_explain with a depth bound")
+    _check_exact_limit(m, exact_limit)
     weighting = weighting or WeightingScheme.classic()
     return _explain(g, bb, motifs, strategy, weighting,
                     depth=m, depth_label="exact", graph_id=graph_id,
@@ -283,3 +317,26 @@ def approx_explain(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
     return _explain(g, bb, motifs, strategy, weighting,
                     depth=depth, depth_label=depth, graph_id=graph_id,
                     normalize=normalize)
+
+
+def explain_depths(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
+                   strategy: MaskingStrategy,
+                   weighting: WeightingScheme | None = None,
+                   depths: Sequence[int] = (),
+                   graph_id: int = 0,
+                   exact_limit: int = DEFAULT_EXACT_LIMIT,
+                   ) -> tuple[Explanation, dict[int, Explanation]]:
+    """Exact scores and the depth-limited scores at each of depths, all
+    from one evaluation of the full lattice (2^|M| coalitions). Each
+    depth's explanation equals approx_explain's without normalize."""
+    _check_motifs(g, motifs)
+    m = len(motifs)
+    _check_exact_limit(m, exact_limit)
+    for d in depths:
+        if not 1 <= d <= m:
+            raise ParameterError(f"depth must be in [1, {m}], got {d}")
+    weighting = weighting or WeightingScheme.classic()
+    lattice = evaluate_lattice(g, bb, motifs, strategy, _masks_at_least(m, 0))
+    exact = _explanation(lattice, motifs, strategy, weighting, "exact", graph_id)
+    return exact, {d: _explanation(lattice.at_least(m - d), motifs, strategy,
+                                   weighting, d, graph_id) for d in depths}

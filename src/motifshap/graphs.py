@@ -46,6 +46,16 @@ def all_pairs(n: int) -> tuple[Edge, ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
+def pack_edges(edges: Iterable[Edge], n: int) -> int:
+    """Canonical in-universe edges packed into one integer, bit i set for
+    the pair with pair_index i."""
+    buf = bytearray((n * (n - 1) // 2 + 7) // 8)
+    for u, v in edges:
+        i = pair_index(u, v, n)
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 def _canonicalize(edges: Iterable[Sequence[int]], n: int) -> frozenset[Edge]:
     out = set()
     for e in edges:
@@ -97,14 +107,20 @@ class Graph:
             return 1.0
         return self.weights.get(e, 1.0)
 
+    @classmethod
+    def _trusted(cls, n: int, edges: frozenset[Edge],
+                 weights: dict[Edge, float] | None, edge_bits: int) -> "Graph":
+        """Graph from parts that are already valid, skipping __post_init__:
+        edges canonical and inside the universe, weights in [0, 1] on listed
+        edges only, and edge_bits equal to pack_edges(edges, n)."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, edges=edges, weights=weights, edge_bits=edge_bits)
+        return g
+
     @cached_property
     def edge_bits(self) -> int:
         """Edge set packed into one integer, bit i = pair_index i present."""
-        buf = bytearray((self.n * (self.n - 1) // 2 + 7) // 8)
-        for u, v in self.edges:
-            i = pair_index(u, v, self.n)
-            buf[i >> 3] |= 1 << (i & 7)
-        return int.from_bytes(buf, "little")
+        return pack_edges(self.edges, self.n)
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)

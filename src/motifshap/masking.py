@@ -12,6 +12,10 @@ Three strategies are provided:
 
 Remove and toggle emit unweighted graphs. Average emits a weighted graph
 and therefore requires a black box that accepts edge weights.
+
+Masked graphs are built from the already valid input graph and motifs
+without re-validation; their packed edge bits follow from the input's by
+AND-NOT (remove), XOR (toggle) or OR (average) with the union's bits.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import ConfigurationError, UniverseMismatchError
-from .graphs import Edge, Graph, LabeledDataset, Motif, edge_frequency
+from .graphs import Edge, Graph, LabeledDataset, Motif, edge_frequency, pack_edges
 
 
 @dataclass(frozen=True)
@@ -31,6 +35,7 @@ class MaskingStrategy:
     kind: str
     background: LabeledDataset | None = None
     _freq_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _bits_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def remove(cls) -> "MaskingStrategy":
@@ -64,28 +69,34 @@ class MaskingStrategy:
             self._freq_cache[e] = f
             return f
 
+    def _motif_bits(self, m: Motif, n: int) -> int:
+        key = (m, n)
+        try:
+            return self._bits_cache[key]
+        except KeyError:
+            if m.max_node() >= n:
+                raise UniverseMismatchError(
+                    f"motif edge beyond the graph's node universe [0, {n})") from None
+            bits = self._bits_cache[key] = pack_edges(m.edges, n)
+            return bits
+
     def mask(self, g: Graph, motifs: Iterable[Motif]) -> Graph:
         """Graph presented to the black box when the given motifs are
         masked in g. An empty motif collection returns g itself for the
         unweighted strategies; average still normalizes the output to its
         weighted form so that coalition values stay comparable."""
         union: set[Edge] = set()
+        union_bits = 0
         for m in motifs:
+            union_bits |= self._motif_bits(m, g.n)
             union |= m.edges
-        for _, v in union:
-            if v >= g.n:
-                raise UniverseMismatchError(
-                    f"motif edge beyond the graph's node universe [0, {g.n})")
 
-        if self.kind == "remove":
-            if not union:
-                return g if g.weights is None else Graph(g.n, g.edges, None)
-            return Graph(g.n, g.edges - union, None)
-
-        if self.kind == "toggle":
-            if not union:
-                return g if g.weights is None else Graph(g.n, g.edges, None)
-            return Graph(g.n, g.edges ^ union, None)
+        if self.kind != "average":
+            if not union and g.weights is None:
+                return g
+            if self.kind == "remove":
+                return Graph._trusted(g.n, g.edges - union, None, g.edge_bits & ~union_bits)
+            return Graph._trusted(g.n, g.edges ^ union, None, g.edge_bits ^ union_bits)
 
         # average: union edges are always present, carrying their
         # background frequency (possibly 0.0); other edges keep the
@@ -93,11 +104,9 @@ class MaskingStrategy:
         if self.background.n != g.n:
             raise UniverseMismatchError(
                 f"background over {self.background.n} nodes, graph over {g.n}")
-        edges = set(g.edges) | union
-        weights = {}
-        for e in edges:
-            if e in union:
-                weights[e] = self._frequency(e)
-            else:
-                weights[e] = g.weight(e)
-        return Graph(g.n, frozenset(edges), weights)
+        weights = dict.fromkeys(g.edges, 1.0)
+        if g.weights is not None:
+            weights.update(g.weights)
+        for e in union:
+            weights[e] = self._frequency(e)
+        return Graph._trusted(g.n, g.edges | union, weights, g.edge_bits | union_bits)

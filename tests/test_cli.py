@@ -4,7 +4,17 @@ import sys
 
 import pytest
 
-from motifshap import load_dataset, load_motifs, query_budget
+from motifshap import (
+    GroundTruthScorer,
+    MaskingStrategy,
+    UndefinedCorrelationError,
+    approx_explain,
+    exact_explain,
+    load_dataset,
+    load_motifs,
+    pearson,
+    query_budget,
+)
 from motifshap.cli import run
 
 
@@ -278,6 +288,37 @@ def test_eval_approx_corr(synth_files, tmp_path):
         r = entry["pearson"]["3"]
         assert r is None or r == pytest.approx(1.0, abs=1e-9)
     assert csv_path.read_text().splitlines()[0] == "graph,depth,pearson"
+
+
+def test_eval_approx_corr_queries_the_exact_lattice_once(synth_files, tmp_path,
+                                                        monkeypatch):
+    data_path, motif_path = synth_files
+    dataset = load_dataset(data_path)
+    n, motifs = load_motifs(motif_path)
+    scorer = GroundTruthScorer(n, motifs, [0.2, 0.6, 1.0])
+    calls = []
+    evaluate = GroundTruthScorer.evaluate
+    monkeypatch.setattr(GroundTruthScorer, "evaluate",
+                        lambda self, g: calls.append(g) or evaluate(self, g))
+    out = tmp_path / "corr.json"
+    assert run(["eval", "approx-corr", "--dataset", str(data_path),
+                "--motifs", str(motif_path), "--depths", "1,2,3",
+                "--mask", "toggle", "--rho", "0.2,0.6,1.0",
+                "--limit", "3", "--out", str(out)]) == 0
+    # toggle makes every coalition distinct: 2^m queries per graph cover
+    # the exact scores and every depth
+    assert len(calls) == 3 * 2 ** len(motifs)
+    toggle = MaskingStrategy.toggle()
+    for entry in json.loads(out.read_text())["per_graph"]:
+        g = dataset.graphs[entry["graph"]]
+        exact = exact_explain(g, scorer, motifs, toggle)
+        for d in (1, 2, 3):
+            approx = approx_explain(g, scorer, motifs, toggle, depth=d)
+            try:
+                want = pearson(approx.scores, exact.scores)
+            except UndefinedCorrelationError:
+                want = None
+            assert entry["pearson"][str(d)] == want
 
 
 def test_eval_global(synth_files, tmp_path):

@@ -3,10 +3,12 @@ import math
 
 import pytest
 
+from motifshap import engine
 from motifshap import (
     ConfigurationError,
     Graph,
     GroundTruthScorer,
+    LabeledDataset,
     LatticeTooLargeError,
     LinearSurrogate,
     MaskingStrategy,
@@ -15,11 +17,13 @@ from motifshap import (
     UniverseMismatchError,
     WeightingScheme,
     approx_explain,
+    edge_frequency,
     exact_explain,
+    explain_depths,
     query_budget,
 )
 
-from conftest import philox, random_graph, random_motif_set
+from conftest import philox, random_graph, random_motif_set, random_weighted_graph
 
 
 
@@ -288,24 +292,6 @@ def test_normalized_approx_sums_to_exact_gap():
     assert ex.query_count == query_budget(5, 2) + 1
 
 
-def test_parallel_evaluation_is_bit_identical(monkeypatch):
-    g, bb, motifs = _instance(71, n_motifs=5)
-    strat = MaskingStrategy.toggle()
-    monkeypatch.delenv("MOTIF_SHAP_THREADS", raising=False)
-    serial = exact_explain(g, bb, motifs, strat)
-    monkeypatch.setenv("MOTIF_SHAP_THREADS", "4")
-    parallel = exact_explain(g, bb, motifs, strat)
-    assert serial.scores == parallel.scores
-    assert serial.query_count == parallel.query_count
-
-
-def test_bad_thread_env_rejected(monkeypatch):
-    g, bb, motifs = _instance(72)
-    monkeypatch.setenv("MOTIF_SHAP_THREADS", "many")
-    with pytest.raises(ParameterError):
-        exact_explain(g, bb, motifs, MaskingStrategy.remove())
-
-
 def test_explanation_metadata():
     g, bb, motifs = _instance(81)
     ex = exact_explain(g, bb, motifs, MaskingStrategy.remove(), graph_id=7)
@@ -317,3 +303,140 @@ def test_explanation_metadata():
     assert ex.by_motif() == dict(zip(ex.motif_ids, ex.scores))
     ap = approx_explain(g, bb, motifs, MaskingStrategy.remove(), depth=2)
     assert ap.depth == 2
+
+
+def reference_explain(g, bb, motifs, kind, background, weighting, depth, normalize):
+    """The engine spelled out without its shortcuts: every masked graph is
+    built by the validating Graph constructor, duplicates are merged by
+    (edge set, sorted weights), and each score is one fsum over the terms
+    in coalition order. Returns (scores, query_count)."""
+    m = len(motifs)
+
+    def masked(subset):
+        union = set().union(*(mot.edges for mot in subset))
+        if kind == "remove":
+            return Graph(g.n, g.edges - union)
+        if kind == "toggle":
+            return Graph(g.n, g.edges ^ union)
+        edges = set(g.edges) | union
+        weights = {e: edge_frequency(background, e) if e in union else g.weight(e)
+                   for e in edges}
+        return Graph(g.n, frozenset(edges), weights)
+
+    masks = [mask for mask in range(1 << m) if mask.bit_count() >= m - depth]
+    by_key, values = {}, {}
+    for mask in masks:
+        h = masked([motifs[i] for i in range(m) if mask >> i & 1])
+        key = (h.edges, None if h.weights is None else tuple(sorted(h.weights.items())))
+        if key not in by_key:
+            by_key[key] = bb.evaluate(h)
+        values[mask] = by_key[key]
+    query_count = len(by_key)
+    scores = []
+    for i in range(m):
+        bit = 1 << i
+        terms = [weighting.weight(mask.bit_count(), m) * (values[mask] - values[mask | bit])
+                 for mask in masks if not mask & bit]
+        scores.append(math.fsum(terms))
+    if normalize and depth < m:
+        gap = bb.evaluate(masked([])) - values[(1 << m) - 1]
+        query_count += 1
+        total = math.fsum(scores)
+        if total != 0.0:
+            scores = [x * gap / total for x in scores]
+    return tuple(scores), query_count
+
+
+def test_engine_is_bit_identical_to_reference(monkeypatch):
+    # small batches, so most lattices cross several batch boundaries
+    monkeypatch.setattr(engine, "BATCH_SIZE", 5)
+    n, m = 12, 4
+    rng = philox(500)
+    motifs = random_motif_set(n, m, 3, rng)
+    scorer = GroundTruthScorer(n, motifs, [0.9, 0.2, 0.6, 0.4])
+    surrogate = LinearSurrogate(n, rng.normal(0, 1, n * (n - 1) // 2), 0.1)
+    background = LabeledDataset(
+        n, tuple(random_graph(n, 0.3, rng) for _ in range(5)), (0, 1, 0, 1, 0))
+    plain = random_graph(n, 0.4, rng)
+    # motif 0 absent from this graph: remove merges coalitions that
+    # differ only in motif 0
+    sparse = Graph(n, plain.edges - motifs[0].edges)
+    graphs = [plain, sparse, random_weighted_graph(n, 0.4, rng)]
+    weightings = [WeightingScheme.classic(), WeightingScheme.paper_inverse(),
+                  WeightingScheme.paper_direct()]
+    strategies = [MaskingStrategy.remove(), MaskingStrategy.toggle(),
+                  MaskingStrategy.average(background)]
+    merged = False
+    for g, bb, strat, w in itertools.product(graphs, (scorer, surrogate),
+                                             strategies, weightings):
+        bg = strat.background
+        ex = exact_explain(g, bb, motifs, strat, w)
+        want = reference_explain(g, bb, motifs, strat.kind, bg, w, m, False)
+        assert (ex.scores, ex.query_count) == want
+        merged |= ex.query_count < 2 ** m
+        for depth, normalize in itertools.product(range(1, m + 1), (False, True)):
+            ap = approx_explain(g, bb, motifs, strat, w, depth=depth, normalize=normalize)
+            want = reference_explain(g, bb, motifs, strat.kind, bg, w, depth, normalize)
+            assert (ap.scores, ap.query_count) == want
+    assert merged
+
+
+def test_lattice_is_evaluated_in_bounded_batches(monkeypatch):
+    monkeypatch.setattr(engine, "BATCH_SIZE", 5)
+    sizes = []
+
+    class Recording(GroundTruthScorer):
+        def evaluate_batch(self, graphs):
+            sizes.append(len(graphs))
+            return super().evaluate_batch(graphs)
+
+    g, bb, motifs = _instance(95, n_motifs=4)
+    rec = Recording(bb.n, bb.motifs, bb.importances)
+    ex = exact_explain(g, rec, motifs, MaskingStrategy.toggle())
+    assert sizes == [5, 5, 5, 1]
+    assert ex == exact_explain(g, bb, motifs, MaskingStrategy.toggle())
+
+
+def test_depth_one_beyond_63_motifs():
+    # masks of 64 or more motifs do not fit an int64
+    n, m = 140, 65
+    motifs = [Motif(i, frozenset({(2 * i, 2 * i + 1)}), 1 if i % 2 else -1)
+              for i in range(m)]
+    g = random_graph(n, 0.3, philox(97))
+    bb = GroundTruthScorer(n, motifs, [0.5] * m)
+    strat = MaskingStrategy.toggle()
+    ex = approx_explain(g, bb, motifs, strat, depth=1)
+    assert ex.query_count == m + 1
+    b_full = bb.evaluate(strat.mask(g, motifs))
+    for i in (0, 1, 63, 64):
+        others = [x for j, x in enumerate(motifs) if j != i]
+        want = (bb.evaluate(strat.mask(g, others)) - b_full) / m
+        assert ex.scores[i] == pytest.approx(want, abs=1e-15)
+
+
+def test_scorer_popcount_equals_unit_weights():
+    for seed in range(10):
+        g, bb, motifs = _instance(600 + seed)
+        unit = Graph(g.n, g.edges, dict.fromkeys(g.edges, 1.0))
+        assert bb.evaluate(g) == bb.evaluate(unit)
+        for strat in (MaskingStrategy.remove(), MaskingStrategy.toggle()):
+            h = strat.mask(g, motifs[:2])
+            assert bb.evaluate(h) == bb.evaluate(Graph(h.n, h.edges, dict.fromkeys(h.edges, 1.0)))
+
+
+def test_explain_depths_reuses_the_exact_lattice():
+    n = 20
+    motifs = [Motif(i, frozenset({(2 * i, 2 * i + 1)}), 1 if i % 2 else -1)
+              for i in range(5)]
+    g = random_graph(n, 0.3, philox(91))
+    bb = CountingScorer(n, motifs, [0.3, 0.5, 0.7, 0.2, 0.9])
+    for strat in (MaskingStrategy.toggle(), MaskingStrategy.remove()):
+        bb.calls = 0
+        exact, by_depth = explain_depths(g, bb, motifs, strat, depths=[1, 3, 5])
+        calls = bb.calls
+        assert exact == exact_explain(g, bb, motifs, strat)
+        assert calls == exact.query_count
+        for d in (1, 3, 5):
+            assert by_depth[d] == approx_explain(g, bb, motifs, strat, depth=d)
+    with pytest.raises(ParameterError):
+        explain_depths(g, bb, motifs, strat, depths=[6])
