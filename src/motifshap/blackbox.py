@@ -107,12 +107,11 @@ class GroundTruthScorer(BlackBox):
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for the linear surrogate. The optimizer is
-    full-batch with zero initialization, so it uses no randomness; seed
-    is kept for interface stability and reproducibility records."""
+    full-batch with zero initialization, so training uses no randomness
+    and needs no seed."""
 
     learning_rate: float = 0.5
     epochs: int = 300
-    seed: int = 0
 
 
 class LinearSurrogate(BlackBox):
@@ -132,25 +131,20 @@ class LinearSurrogate(BlackBox):
         self.config = config
         self.train_accuracy = train_accuracy
 
-    def _features(self, g: Graph) -> np.ndarray:
+    def evaluate(self, g: Graph) -> float:
         if g.n != self.n:
             raise UniverseMismatchError(
                 f"graph over {g.n} nodes, surrogate over {self.n}")
-        x = np.zeros(self.n * (self.n - 1) // 2, dtype=np.float64)
-        for u, v in g.edges:
-            x[pair_index(u, v, self.n)] = g.weight((u, v))
-        return x
-
-    def evaluate(self, g: Graph) -> float:
-        z = float(self.weights @ self._features(g)) + self.bias
+        z = float(self.weights @ _feature_matrix((g,), self.n)[0]) + self.bias
         return sigmoid(z)
 
 
-def _feature_matrix(d: LabeledDataset) -> np.ndarray:
-    x = np.zeros((len(d), d.n * (d.n - 1) // 2), dtype=np.float64)
-    for i, g in enumerate(d.graphs):
+def _feature_matrix(graphs: Sequence[Graph], n: int) -> np.ndarray:
+    """One row per graph of node-pair edge weights, in pair_index order."""
+    x = np.zeros((len(graphs), n * (n - 1) // 2), dtype=np.float64)
+    for i, g in enumerate(graphs):
         for u, v in g.edges:
-            x[i, pair_index(u, v, d.n)] = g.weight((u, v))
+            x[i, pair_index(u, v, n)] = g.weight((u, v))
     return x
 
 
@@ -165,7 +159,7 @@ def train_linear_surrogate(d: LabeledDataset,
     labels = np.asarray(d.labels, dtype=np.float64)
     if labels.min() == labels.max():
         raise DegenerateTrainingError("training data contains a single class")
-    x = _feature_matrix(d)
+    x = _feature_matrix(d.graphs, d.n)
     w = np.zeros(x.shape[1], dtype=np.float64)
     b = 0.0
     lr = config.learning_rate

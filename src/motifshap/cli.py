@@ -27,6 +27,7 @@ import sys
 from datetime import datetime, timezone
 from typing import Sequence
 
+from . import __version__
 from .blackbox import (
     BlackBox,
     ExternalBlackBox,
@@ -53,6 +54,7 @@ from .graphs import (
     Graph,
     LabeledDataset,
     Motif,
+    _read_json,
     atomic_write_text,
     dataset_to_json,
     load_dataset,
@@ -65,7 +67,6 @@ from .mining import MinerConfig, RankerConfig, cross_support, mine, rank_and_sel
 from .stats import expected_scores, global_ranking, pearson, separability
 from .synth import InjectionRecord, SynthConfig, generate
 
-TOOL_VERSION = "0.1.0"
 FORMAT_VERSION = "1"
 
 _WEIGHT_CHOICES = {
@@ -106,7 +107,7 @@ def _write_manifest(out_path: str, subcommand: str, args: argparse.Namespace,
                     extra: dict | None = None) -> None:
     manifest = {
         "tool": "motifshap",
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "format_version": FORMAT_VERSION,
         "subcommand": subcommand,
         "config": _jsonable_config(args),
@@ -137,14 +138,7 @@ def _load_correlation(spec: str, n_m: int) -> tuple[tuple[float, ...], ...] | No
     or None for the identity."""
     if spec == "identity":
         return None
-    doc_path = spec
-    try:
-        with open(doc_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {doc_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{doc_path}: invalid JSON: {exc}") from exc
+    doc = _read_json(spec)
     try:
         file_n_m = int(doc["n_m"])
         entries = doc["entries"]
@@ -162,7 +156,7 @@ def _load_correlation(spec: str, n_m: int) -> tuple[tuple[float, ...], ...] | No
         for i in range(file_n_m):
             mat[i][i] = 1.0
     except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise InputFormatError(f"{doc_path}: malformed correlation file: {exc}") from exc
+        raise InputFormatError(f"{spec}: malformed correlation file: {exc}") from exc
     if file_n_m != n_m:
         raise ParameterError(
             f"correlation file covers {file_n_m} motifs, expected {n_m}")
@@ -520,13 +514,7 @@ def _cmd_eval_global(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{args.config}: invalid JSON: {exc}") from exc
+    doc = _read_json(args.config)
     if not isinstance(doc, dict) or not isinstance(doc.get("stages"), list):
         raise InputFormatError(
             f"{args.config}: pipeline config must be an object with a 'stages' list")
@@ -548,18 +536,12 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_blackbox_serve(args: argparse.Namespace) -> int:
+    n, motifs = 0, []
     if args.blackbox == "scorer":
+        if args.motifs is None:
+            raise ParameterError("blackbox-serve --blackbox scorer needs --motifs")
         n, motifs = load_motifs(args.motifs)
-        if args.rho is None:
-            raise ParameterError("--blackbox scorer needs --rho")
-        bb: BlackBox = GroundTruthScorer(n, motifs, _parse_rho(args.rho), args.beta)
-    else:
-        if args.train_dataset is None:
-            raise ParameterError("--blackbox surrogate needs --train-dataset")
-        train_data = load_dataset(args.train_dataset)
-        bb = train_linear_surrogate(
-            train_data, TrainConfig(learning_rate=args.lr, epochs=args.epochs))
-    serve(bb)
+    serve(_build_blackbox(args, n, motifs, []))
     return 0
 
 
@@ -581,7 +563,7 @@ def build_parser() -> _Parser:
                                  "black-box graph classifiers")
     parser.add_argument(
         "--version", action="version",
-        version=f"motifshap {TOOL_VERSION} "
+        version=f"motifshap {__version__} "
                 f"(file format {FORMAT_VERSION}, wire protocol motif-shap/1)")
     sub = parser.add_subparsers(dest="cmd", required=True, metavar="<command>")
 
@@ -712,9 +694,6 @@ def run(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
         if args.cmd == "eval":
             return _EVAL_DISPATCH[args.evalcmd](args)
-        if args.cmd == "blackbox-serve" and args.blackbox == "scorer" \
-                and args.motifs is None:
-            raise ParameterError("blackbox-serve --blackbox scorer needs --motifs")
         return _DISPATCH[args.cmd](args)
     except MotifShapError as exc:
         line = json.dumps(

@@ -5,7 +5,14 @@ node index means the same entity in every graph and subgraph matching
 reduces to comparing edge identities. Edges are stored canonically as
 (u, v) tuples with u < v; edge sets additionally expose a bit-level
 representation indexed by the fixed enumeration of all n*(n-1)/2 node
-pairs, which makes intersection/union counting and support checks cheap.
+pairs, which makes intersection/union counting cheap.
+
+Edge support has one source: each dataset's occurrence index, built once
+on first use, maps every edge to an integer whose bit j is set when graph
+j contains it, alongside one such bitset per label. The graphs containing
+an edge set are the AND chain of its edges' bitsets
+(LabeledDataset.occurrence_bits), so support, edge frequency, mining and
+cross-support are popcounts of that chain.
 """
 
 from __future__ import annotations
@@ -96,7 +103,9 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]],
                    weights: Mapping[Edge, float] | None = None) -> "Graph":
-        return cls(n, frozenset(canonical_edge(int(e[0]), int(e[1])) for e in edges), weights)
+        """Graph from any iterable of node pairs; the constructor
+        canonicalizes and checks them."""
+        return cls(n, edges, weights)
 
     def weight(self, e: Edge) -> float:
         """Weight of edge e: listed weight, 1.0 for an unweighted listed
@@ -182,10 +191,49 @@ class Motif:
 
 
 @dataclass(frozen=True)
+class InjectionRecord:
+    """Ground-truth injection matrix: entry (j, k) is +1 when motif k was
+    added to graph j, -1 when removed, 0 when left untouched."""
+
+    matrix: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        mat = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        widths = {len(row) for row in mat}
+        if len(widths) > 1:
+            raise ParameterError("injection matrix must be rectangular")
+        for row in mat:
+            for x in row:
+                if x not in (-1, 0, 1):
+                    raise ParameterError(f"injection entry {x} not in {{-1, 0, +1}}")
+        object.__setattr__(self, "matrix", mat)
+
+    @property
+    def n_graphs(self) -> int:
+        return len(self.matrix)
+
+    @property
+    def n_motifs(self) -> int:
+        return len(self.matrix[0]) if self.matrix else 0
+
+    def rates(self) -> tuple[float, ...]:
+        """Empirical fraction of graphs each motif perturbed (added or
+        removed); with identity correlation this tracks rho."""
+        if not self.matrix:
+            return ()
+        total = len(self.matrix)
+        return tuple(
+            sum(1 for row in self.matrix if row[k] != 0) / total
+            for k in range(self.n_motifs)
+        )
+
+
+@dataclass(frozen=True)
 class LabeledDataset:
     """Graphs over one node universe with binary labels and an optional
-    injection record I, where I[i][k] is +1/-1/0 for motif k having been
-    added to / removed from / left untouched in graph i."""
+    injection matrix I (validated as an InjectionRecord), where I[i][k]
+    is +1/-1/0 for motif k having been added to / removed from / left
+    untouched in graph i."""
 
     n: int
     graphs: tuple[Graph, ...]
@@ -205,16 +253,9 @@ class LabeledDataset:
             if lab not in (0, 1):
                 raise ParameterError(f"label {lab} is not binary")
         if self.injections is not None:
-            inj = tuple(tuple(int(x) for x in row) for row in self.injections)
+            inj = InjectionRecord(self.injections).matrix
             if len(inj) != len(self.graphs):
                 raise ParameterError("injection record must have one row per graph")
-            widths = {len(row) for row in inj}
-            if len(widths) > 1:
-                raise ParameterError("injection record must be rectangular")
-            for row in inj:
-                for x in row:
-                    if x not in (-1, 0, 1):
-                        raise ParameterError(f"injection entry {x} not in {{-1, 0, +1}}")
             object.__setattr__(self, "injections", inj)
 
     def __len__(self) -> int:
@@ -222,6 +263,37 @@ class LabeledDataset:
 
     def label_indices(self, label: int) -> tuple[int, ...]:
         return tuple(i for i, lab in enumerate(self.labels) if lab == label)
+
+    @cached_property
+    def edge_index(self) -> dict[Edge, int]:
+        """Occurrence bitset per edge: bit j is set when graph j contains
+        the edge. Edges absent from every graph have no entry."""
+        index: dict[Edge, int] = {}
+        for j, g in enumerate(self.graphs):
+            bit = 1 << j
+            for e in g.edges:
+                index[e] = index.get(e, 0) | bit
+        return index
+
+    @cached_property
+    def label_bits(self) -> dict[int | None, int]:
+        """Bitset of the graphs of each label; None selects every graph."""
+        bits = {None: (1 << len(self.graphs)) - 1, 0: 0, 1: 0}
+        for j, lab in enumerate(self.labels):
+            bits[lab] |= 1 << j
+        return bits
+
+    def occurrence_bits(self, edges: Iterable[Edge], label: int | None = None) -> int:
+        """Bitset of the graphs (of one label, when given) containing
+        every one of the canonical edges: the AND chain of their
+        occurrence bitsets. The empty edge set selects every graph."""
+        acc = self.label_bits.get(label, 0)
+        index = self.edge_index
+        for e in edges:
+            acc &= index.get(e, 0)
+            if not acc:
+                break
+        return acc
 
 
 def jaccard_distance(a: Graph, b: Graph) -> float:
@@ -246,8 +318,7 @@ def edge_frequency(d: LabeledDataset, e: Edge) -> float:
     """Fraction of the dataset's graphs containing edge e."""
     if len(d) == 0:
         raise EmptyDatasetError("edge frequency over an empty dataset")
-    e = canonical_edge(*e)
-    return sum(1 for g in d.graphs if e in g.edges) / len(d)
+    return d.occurrence_bits((canonical_edge(*e),)).bit_count() / len(d)
 
 
 def support(m: Iterable[Edge], d: LabeledDataset, label_filter: int | None = None) -> int:
@@ -257,13 +328,7 @@ def support(m: Iterable[Edge], d: LabeledDataset, label_filter: int | None = Non
     for _, v in edges:
         if v >= d.n:
             raise UniverseMismatchError(f"motif edge beyond node universe [0, {d.n})")
-    count = 0
-    for g, lab in zip(d.graphs, d.labels):
-        if label_filter is not None and lab != label_filter:
-            continue
-        if edges <= g.edges:
-            count += 1
-    return count
+    return d.occurrence_bits(edges, label_filter).bit_count()
 
 
 # --- JSON file formats -------------------------------------------------
@@ -312,10 +377,7 @@ def load_dataset(path: str | os.PathLike) -> LabeledDataset:
         for entry in doc["graphs"]:
             labels.append(int(entry["label"]))
             graphs.append(Graph.from_edges(n, entry["edges"]))
-        injections = doc.get("injections")
-        if injections is not None:
-            injections = tuple(tuple(int(x) for x in row) for row in injections)
-        return LabeledDataset(n, tuple(graphs), tuple(labels), injections)
+        return LabeledDataset(n, tuple(graphs), tuple(labels), doc.get("injections"))
     except InputFormatError:
         raise
     except (KeyError, TypeError, ValueError, IndexError, ParameterError) as exc:

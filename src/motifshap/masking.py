@@ -34,7 +34,6 @@ class MaskingStrategy:
 
     kind: str
     background: LabeledDataset | None = None
-    _freq_cache: dict = field(default_factory=dict, compare=False, repr=False)
     _bits_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
@@ -60,14 +59,6 @@ class MaskingStrategy:
     @property
     def weighted_output(self) -> bool:
         return self.kind == "average"
-
-    def _frequency(self, e: Edge) -> float:
-        try:
-            return self._freq_cache[e]
-        except KeyError:
-            f = edge_frequency(self.background, e)
-            self._freq_cache[e] = f
-            return f
 
     def _motif_bits(self, m: Motif, n: int) -> int:
         key = (m, n)
@@ -108,5 +99,5 @@ class MaskingStrategy:
         if g.weights is not None:
             weights.update(g.weights)
         for e in union:
-            weights[e] = self._frequency(e)
+            weights[e] = edge_frequency(self.background, e)
         return Graph._trusted(g.n, g.edges | union, weights, g.edge_bits | union_bits)

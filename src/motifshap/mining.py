@@ -3,9 +3,9 @@
 Mining grows connected frequent edge sets level by level from frequent
 twoplets (two edges sharing a node): a motif of size goal is the union
 of an already-mined motif with a twoplet that shares at least one node
-with it. Support counting is the hot path and uses per-edge occurrence
-bitsets (one integer bit per graph), so the support of any edge set is
-the popcount of an AND chain.
+with it. Support counting is the hot path: every candidate's support is
+the popcount of an AND chain over the dataset's occurrence index
+(LabeledDataset.occurrence_bits), one integer bit per graph.
 
 Ranking scores each motif by its cross-support, the absolute log2 ratio
 of smoothed per-class supports, then greedily selects motifs that are
@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ParameterError
-from .graphs import Edge, LabeledDataset, Motif, edge_set_jaccard, is_connected
+from .graphs import Edge, LabeledDataset, Motif, edge_set_jaccard
 
 
 @dataclass(frozen=True)
@@ -59,43 +59,19 @@ class RankerConfig:
             raise ParameterError("selection size must be >= 1")
 
 
-def _edge_masks(d: LabeledDataset, label: int | None) -> tuple[dict[Edge, int], int]:
-    """Occurrence bitset per edge (bit j = graph j contains the edge) and
-    the bitset of graphs passing the label filter."""
-    masks: dict[Edge, int] = {}
-    label_mask = 0
-    for j, (g, lab) in enumerate(zip(d.graphs, d.labels)):
-        if label is not None and lab != label:
-            continue
-        label_mask |= 1 << j
-        for e in g.edges:
-            masks[e] = masks.get(e, 0) | 1 << j
-    return masks, label_mask
-
-
-def _support_mask(edges: Iterable[Edge], masks: dict[Edge, int], full: int) -> int:
-    acc = full
-    for e in edges:
-        acc &= masks.get(e, 0)
-        if not acc:
-            break
-    return acc
-
-
 def mine(d: LabeledDataset, cfg: MinerConfig) -> list[Motif]:
     """All connected edge sets of 2..max_size edges supported by at least
     support_threshold graphs (optionally of one label). Output is
     canonically ordered (size, then edge list) with sequential ids."""
-    population = len(d) if cfg.label is None else len(d.label_indices(cfg.label))
+    population = d.label_bits[cfg.label].bit_count()
     if cfg.support_threshold > population:
         raise ParameterError(
             f"support threshold {cfg.support_threshold} exceeds the "
             f"{population} graphs available")
 
-    masks, label_mask = _edge_masks(d, cfg.label)
-    s = cfg.support_threshold
+    s, label = cfg.support_threshold, cfg.label
     frequent_edges = sorted(
-        e for e, m in masks.items() if (m & label_mask).bit_count() >= s)
+        e for e in d.edge_index if d.occurrence_bits((e,), label).bit_count() >= s)
 
     # frequent twoplets: connected pairs of frequent edges
     by_node: dict[int, list[Edge]] = {}
@@ -110,7 +86,7 @@ def mine(d: LabeledDataset, cfg: MinerConfig) -> list[Motif]:
             if pair in seen:
                 continue
             seen.add(pair)
-            if _support_mask(pair, masks, label_mask).bit_count() >= s:
+            if d.occurrence_bits(pair, label).bit_count() >= s:
                 twoplets.append(pair)
 
     mined: set[frozenset[Edge]] = set(twoplets)
@@ -131,7 +107,7 @@ def mine(d: LabeledDataset, cfg: MinerConfig) -> list[Motif]:
                         continue
                     if u in mined or u in nxt:
                         continue
-                    if _support_mask(u, masks, label_mask).bit_count() >= s:
+                    if d.occurrence_bits(u, label).bit_count() >= s:
                         nxt.add(u)
         mined |= nxt
         prev_level = level
@@ -140,20 +116,18 @@ def mine(d: LabeledDataset, cfg: MinerConfig) -> list[Motif]:
             break
 
     out = sorted(mined, key=lambda es: (len(es), sorted(es)))
-    for es in out:
-        assert is_connected(es)
     return [Motif(i, es) for i, es in enumerate(out)]
 
 
 def cross_support(m: Motif, d: LabeledDataset) -> float:
     """|log2((supp0 + 1) / (supp1 + 1))| with per-class supports; high
     values mean the motif discriminates the classes."""
-    zeros = d.label_indices(0)
-    ones = d.label_indices(1)
+    zeros, ones = d.label_bits[0], d.label_bits[1]
     if not zeros or not ones:
         raise ParameterError("cross-support needs graphs of both classes")
-    supp0 = sum(1 for i in zeros if m.edges <= d.graphs[i].edges)
-    supp1 = sum(1 for i in ones if m.edges <= d.graphs[i].edges)
+    containing = d.occurrence_bits(m.edges)
+    supp0 = (containing & zeros).bit_count()
+    supp1 = (containing & ones).bit_count()
     return abs(math.log2((supp0 + 1) / (supp1 + 1)))
 
 

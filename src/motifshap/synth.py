@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .graphs import Edge, Graph, LabeledDataset, Motif, all_pairs
+from .graphs import Edge, Graph, InjectionRecord, LabeledDataset, Motif, all_pairs
 
 
 def _philox(seq: np.random.SeedSequence) -> np.random.Generator:
@@ -87,42 +87,11 @@ class SynthConfig:
         return np.asarray(self.correlation, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class InjectionRecord:
-    """Ground-truth injection matrix: entry (j, k) is +1 when motif k was
-    added to graph j, -1 when removed, 0 when left untouched."""
-
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        mat = tuple(tuple(int(x) for x in row) for row in self.matrix)
-        widths = {len(row) for row in mat}
-        if len(widths) > 1:
-            raise ParameterError("injection matrix must be rectangular")
-        for row in mat:
-            for x in row:
-                if x not in (-1, 0, 1):
-                    raise ParameterError(f"injection entry {x} not in {{-1, 0, +1}}")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def n_graphs(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def n_motifs(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
-    def rates(self) -> tuple[float, ...]:
-        """Empirical fraction of graphs each motif perturbed (added or
-        removed); with identity correlation this tracks rho."""
-        if not self.matrix:
-            return ()
-        total = len(self.matrix)
-        return tuple(
-            sum(1 for row in self.matrix if row[k] != 0) / total
-            for k in range(self.n_motifs)
-        )
+def _er_edges(n: int, density: float, rng: np.random.Generator) -> set[Edge]:
+    """Edge set of an ER draw, one uniform per pair in pair_index order."""
+    pairs = all_pairs(n)
+    draws = rng.random(len(pairs))
+    return {pairs[i] for i in np.flatnonzero(draws < density)}
 
 
 def erdos_renyi(n: int, density: float, rng: np.random.Generator) -> Graph:
@@ -130,9 +99,7 @@ def erdos_renyi(n: int, density: float, rng: np.random.Generator) -> Graph:
     given probability, consuming exactly one uniform per pair."""
     if not 0.0 < density < 1.0:
         raise ParameterError("density must lie in (0, 1)")
-    pairs = all_pairs(n)
-    draws = rng.random(len(pairs))
-    return Graph(n, frozenset(e for e, u in zip(pairs, draws) if u < density))
+    return Graph(n, frozenset(_er_edges(n, density, rng)))
 
 
 def sample_motifs(n: int, n_motifs: int, edges_per_motif: int,
@@ -215,9 +182,8 @@ def generate(cfg: SynthConfig) -> tuple[LabeledDataset, InjectionRecord, tuple[M
     labels = []
     injections = []
     for j in range(cfg.n_graphs):
-        g = erdos_renyi(cfg.n, cfg.density, _philox(er_streams[j]))
         label = j % 2
-        edges = set(g.edges)
+        edges = _er_edges(cfg.n, cfg.density, _philox(er_streams[j]))
         row = []
         for k, motif in enumerate(motifs):
             if float(corr[k] @ r_matrix[j]) <= cfg.rho[k]:

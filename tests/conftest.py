@@ -60,6 +60,15 @@ def random_motif_set(n: int, count: int, n_edges: int,
             for i in range(count)]
 
 
+def scan_support(d, edges, label=None) -> int:
+    """Support of a set of canonical edges by a plain subset scan over the
+    dataset's graphs, apart from the occurrence index the library counts
+    with, so miner and index are not checked against themselves."""
+    edges = frozenset(edges)
+    return sum(1 for g, lab in zip(d.graphs, d.labels)
+               if (label is None or lab == label) and edges <= g.edges)
+
+
 def _uniform_sum_cdf(weights, t) -> float:
     """P(sum_i w_i U_i <= t) for independent U_i ~ Uniform(0, 1) and
     weights w_i >= 0. Over the d positive weights this is the

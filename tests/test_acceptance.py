@@ -46,6 +46,7 @@ from conftest import (
     philox,
     random_graph,
     random_motif_set,
+    scan_support,
 )
 
 RHO6 = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -342,12 +343,12 @@ def _mining_dataset(seed):
 
 def _brute_force_frequent(d, threshold, max_size):
     pool = [(u, v) for u in range(d.n) for v in range(u + 1, d.n)
-            if support([(u, v)], d) >= threshold]
+            if scan_support(d, [(u, v)]) >= threshold]
     found = set()
     for size in range(2, max_size + 1):
         for combo in itertools.combinations(pool, size):
             edges = frozenset(combo)
-            if is_connected(edges) and support(edges, d) >= threshold:
+            if is_connected(edges) and scan_support(d, edges) >= threshold:
                 found.add(edges)
     return found
 

@@ -1,8 +1,11 @@
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
+
+import motifshap
 
 from motifshap import (
     GroundTruthScorer,
@@ -32,6 +35,12 @@ def _synth_args(tmp_path, seed=7, graphs=20):
 def synth_files(tmp_path):
     assert run(_synth_args(tmp_path)) == 0
     return tmp_path / "data.json", tmp_path / "motifs.json"
+
+
+def test_pyproject_version_matches_package():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11 on
+    with open(pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == motifshap.__version__
 
 
 def test_version_flag(capsys):

@@ -17,13 +17,18 @@ from motifshap import (
     UniverseMismatchError,
     WeightingScheme,
     approx_explain,
-    edge_frequency,
     exact_explain,
     explain_depths,
     query_budget,
 )
 
-from conftest import philox, random_graph, random_motif_set, random_weighted_graph
+from conftest import (
+    philox,
+    random_graph,
+    random_motif_set,
+    random_weighted_graph,
+    scan_support,
+)
 
 
 
@@ -319,7 +324,8 @@ def reference_explain(g, bb, motifs, kind, background, weighting, depth, normali
         if kind == "toggle":
             return Graph(g.n, g.edges ^ union)
         edges = set(g.edges) | union
-        weights = {e: edge_frequency(background, e) if e in union else g.weight(e)
+        weights = {e: scan_support(background, [e]) / len(background) if e in union
+                   else g.weight(e)
                    for e in edges}
         return Graph(g.n, frozenset(edges), weights)
 

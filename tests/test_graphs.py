@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -10,6 +11,7 @@ from motifshap import (
     Motif,
     ParameterError,
     UniverseMismatchError,
+    cross_support,
     edge_frequency,
     is_connected,
     jaccard_distance,
@@ -29,7 +31,7 @@ from motifshap.graphs import (
     pair_index,
 )
 
-from conftest import philox, random_graph
+from conftest import philox, random_connected_motif, random_graph, scan_support
 
 
 def test_pair_index_enumerates_upper_triangle():
@@ -173,6 +175,33 @@ def test_support():
     assert support([], d) == 4
     with pytest.raises(UniverseMismatchError):
         support([(0, 9)], d)
+
+
+def test_support_index_matches_subset_scan():
+    """support, edge_frequency and cross_support equal a plain subset scan
+    on random datasets, with and without a label filter. No graph touches
+    the last node, so edges at it are absent from every graph."""
+    n = 8
+    for seed in range(25):
+        rng = philox(seed)
+        n_graphs = 2 * int(rng.integers(1, 7))
+        graphs = tuple(
+            Graph(n, frozenset(e for e in random_graph(n, 0.35, rng).edges if e[1] < n - 1))
+            for _ in range(n_graphs))
+        d = LabeledDataset(n, graphs, tuple(j % 2 for j in range(n_graphs)))
+        for e in all_pairs(n):
+            assert edge_frequency(d, e) == scan_support(d, [e]) / n_graphs
+        motifs = [random_connected_motif(k, n, int(rng.integers(1, 5)), rng)
+                  for k in range(12)]
+        for m in motifs:
+            for edges in (m.edges, frozenset(), m.edges | {(0, n - 1)}):
+                for label in (None, 0, 1):
+                    assert support(edges, d, label_filter=label) == \
+                        scan_support(d, edges, label)
+            s0, s1 = scan_support(d, m.edges, 0), scan_support(d, m.edges, 1)
+            assert cross_support(m, d) == abs(math.log2((s0 + 1) / (s1 + 1)))
+        with pytest.raises(UniverseMismatchError):
+            support([(0, n)], d)
 
 
 def test_dataset_validation():

@@ -17,7 +17,7 @@ from motifshap import (
 )
 from motifshap.graphs import edge_set_jaccard
 
-from conftest import philox
+from conftest import philox, scan_support
 
 
 def brute_force_frequent(d: LabeledDataset, s: int, max_size: int,
@@ -31,7 +31,7 @@ def brute_force_frequent(d: LabeledDataset, s: int, max_size: int,
         for combo in combinations(pool, size):
             if not is_connected(combo):
                 continue
-            if support(combo, d, label_filter=label) >= s:
+            if scan_support(d, combo, label) >= s:
                 out.add(frozenset(combo))
     return out
 
