@@ -23,7 +23,9 @@ import select
 import subprocess
 import sys
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import IO, Sequence
 
 import numpy as np
@@ -32,10 +34,21 @@ from .errors import (
     ConfigurationError,
     DegenerateTrainingError,
     InputFormatError,
+    ParameterError,
     TransportError,
     UniverseMismatchError,
 )
-from .graphs import Graph, LabeledDataset, Motif, pack_edges, pair_index
+from .graphs import (
+    Edge,
+    Graph,
+    LabeledDataset,
+    Motif,
+    all_pairs,
+    canonical_edge,
+    pack_edges,
+    pair_index,
+    unpack_edges,
+)
 
 PROTOCOL_HELLO = "motif-shap/1"
 
@@ -140,11 +153,15 @@ class LinearSurrogate(BlackBox):
 
 
 def _feature_matrix(graphs: Sequence[Graph], n: int) -> np.ndarray:
-    """One row per graph of node-pair edge weights, in pair_index order."""
-    x = np.zeros((len(graphs), n * (n - 1) // 2), dtype=np.float64)
+    """One row per graph of node-pair edge weights, in pair_index order:
+    the edge bits unpacked to 0.0/1.0, then every listed weight other than
+    1.0 written over its pair."""
+    x = np.empty((len(graphs), n * (n - 1) // 2), dtype=np.float64)
     for i, g in enumerate(graphs):
-        for u, v in g.edges:
-            x[i, pair_index(u, v, n)] = g.weight((u, v))
+        x[i] = unpack_edges(g.edge_bits, n)
+        for (u, v), w in (g.weights or {}).items():
+            if w != 1.0:
+                x[i, pair_index(u, v, n)] = w
     return x
 
 
@@ -188,8 +205,26 @@ def accuracy(bb: BlackBox, d: LabeledDataset) -> float:
 # --- external process client and server --------------------------------
 
 
-def _graph_wire_edges(g: Graph) -> list[list[float]]:
-    return [[u, v, g.weight((u, v))] for u, v in g.sorted_edges()]
+@lru_cache(maxsize=8)
+def _wire_fragments(n: int) -> tuple[str, ...]:
+    """Request fragment "[u,v,1.0]" of every node pair of an n-node
+    universe, in pair_index order."""
+    return tuple(f"[{u},{v},1.0]" for u, v in all_pairs(n))
+
+
+def _request_line(rid: int, g: Graph) -> bytes:
+    """The request for g, byte for byte json.dumps({"id": rid, "n": g.n,
+    "edges": [[u, v, g.weight((u, v))] for (u, v) in sorted(g.edges)]},
+    separators=(",", ":")) plus a newline. Ascending (u, v) is pair_index
+    order, so the edges come straight from the edge bits; only weights
+    other than 1.0 are formatted, as json formats floats."""
+    frags = _wire_fragments(g.n)
+    idx = np.flatnonzero(unpack_edges(g.edge_bits, g.n)).tolist()
+    parts = [frags[i] for i in idx]
+    for (u, v), w in (g.weights or {}).items():
+        if w != 1.0:
+            parts[bisect_left(idx, pair_index(u, v, g.n))] = f"[{u},{v},{float(w)!r}]"
+    return f'{{"id":{rid},"n":{g.n},"edges":[{",".join(parts)}]}}\n'.encode("ascii")
 
 
 class ExternalBlackBox(BlackBox):
@@ -198,10 +233,12 @@ class ExternalBlackBox(BlackBox):
     Protocol (one JSON object per line, over the child's stdin/stdout):
     the client opens with {"hello": "motif-shap/1"} and expects
     {"ready": true}; each query {"id", "n", "edges": [[u, v, w], ...]}
-    is answered by {"id", "p"} with matching id and p in [0, 1]. One
-    request is in flight at a time. Any deviation (process exit,
-    malformed reply, id mismatch, out-of-range p, timeout) raises
-    TransportError; there are no silent fallbacks.
+    lists every edge once, in ascending (u, v) with u < v, with weight
+    1.0 for an unweighted edge, and is answered by {"id", "p"} with
+    matching id and p in [0, 1]. One request is in flight at a time.
+    Any deviation (process exit, malformed reply, id mismatch,
+    out-of-range p, timeout) raises TransportError; there are no silent
+    fallbacks.
     """
 
     def __init__(self, command: Sequence[str], timeout: float = 30.0):
@@ -218,7 +255,8 @@ class ExternalBlackBox(BlackBox):
         except OSError as exc:
             raise TransportError(f"cannot start {self.command[0]}: {exc}") from exc
         try:
-            self._send({"hello": PROTOCOL_HELLO})
+            hello = json.dumps({"hello": PROTOCOL_HELLO}, separators=(",", ":")) + "\n"
+            self._send(hello.encode("ascii"))
             reply = self._recv()
             if reply.get("ready") is not True:
                 raise TransportError(f"bad handshake reply: {reply!r}")
@@ -226,10 +264,9 @@ class ExternalBlackBox(BlackBox):
             self.close()
             raise
 
-    def _send(self, obj: dict) -> None:
-        line = json.dumps(obj, separators=(",", ":")) + "\n"
+    def _send(self, line: bytes) -> None:
         try:
-            self._proc.stdin.write(line.encode("utf-8"))
+            self._proc.stdin.write(line)
             self._proc.stdin.flush()
         except (OSError, ValueError, BrokenPipeError) as exc:
             raise TransportError(f"write to external black-box failed: {exc}") from exc
@@ -265,7 +302,7 @@ class ExternalBlackBox(BlackBox):
                 f"external black-box exited with code {self._proc.returncode}")
         rid = self._next_id
         self._next_id += 1
-        self._send({"id": rid, "n": g.n, "edges": _graph_wire_edges(g)})
+        self._send(_request_line(rid, g))
         reply = self._recv()
         if reply.get("id") != rid:
             raise TransportError(
@@ -301,23 +338,39 @@ class ExternalBlackBox(BlackBox):
 
 
 def _parse_wire_graph(obj: dict) -> Graph:
+    """Graph of one request, from a single pass over its edges that
+    converts, canonicalizes, range-checks and collects the weights other
+    than 1.0 (an edge listed twice takes its last weight). Raises
+    ValueError or ParameterError on an invalid request. The edge bits are
+    left to be packed on first use, after the black box has checked n."""
     n = int(obj["n"])
-    edges = {}
+    if n < 0:
+        raise ValueError("node count must be nonnegative")
+    edges: set[Edge] = set()
+    weights: dict[Edge, float] = {}
     for item in obj["edges"]:
         u, v, w = int(item[0]), int(item[1]), float(item[2])
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"edge weight {w} outside [0, 1]")
-        edges[(u, v)] = w
-    return Graph.from_edges(n, list(edges), edges)
+        e = (u, v) if u < v else canonical_edge(u, v)
+        if e[0] < 0 or e[1] >= n:
+            raise ValueError(f"edge {e} outside node universe [0, {n})")
+        edges.add(e)
+        if w != 1.0:
+            weights[e] = w
+        elif e in weights:
+            del weights[e]
+    return Graph._trusted(n, frozenset(edges), weights or None)
 
 
 def serve(bb: BlackBox, stdin: IO[str] | None = None,
           stdout: IO[str] | None = None) -> None:
     """Run the server side of the wire protocol until end of input.
 
-    Replies in request order. A malformed line raises InputFormatError so
-    the CLI can exit with the format-error code instead of answering
-    garbage."""
+    Replies in request order. A malformed line, including a request with a
+    self-loop, a node outside [0, n), a negative n or a weight outside
+    [0, 1], raises InputFormatError so the CLI can exit with the
+    format-error code instead of answering garbage."""
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
 
@@ -344,6 +397,7 @@ def serve(bb: BlackBox, stdin: IO[str] | None = None,
             req = json.loads(line)
             rid = req["id"]
             g = _parse_wire_graph(req)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError,
+                OverflowError, ParameterError) as exc:
             raise InputFormatError(f"bad request: {exc}") from exc
         reply({"id": rid, "p": bb.evaluate(g)})

@@ -22,7 +22,10 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     EmptyDatasetError,
@@ -56,11 +59,18 @@ def all_pairs(n: int) -> tuple[Edge, ...]:
 def pack_edges(edges: Iterable[Edge], n: int) -> int:
     """Canonical in-universe edges packed into one integer, bit i set for
     the pair with pair_index i."""
-    buf = bytearray((n * (n - 1) // 2 + 7) // 8)
-    for u, v in edges:
-        i = pair_index(u, v, n)
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
+    uv = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+    flags = np.zeros(n * (n - 1) // 2, dtype=np.uint8)
+    flags[pair_index(uv[0::2], uv[1::2], n)] = 1
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def unpack_edges(bits: int, n: int) -> np.ndarray:
+    """Inverse of pack_edges: one uint8 0/1 per node pair of an n-node
+    universe, in pair_index order."""
+    dim = n * (n - 1) // 2
+    packed = np.frombuffer(bits.to_bytes((dim + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=dim, bitorder="little")
 
 
 def _canonicalize(edges: Iterable[Sequence[int]], n: int) -> frozenset[Edge]:
@@ -118,12 +128,16 @@ class Graph:
 
     @classmethod
     def _trusted(cls, n: int, edges: frozenset[Edge],
-                 weights: dict[Edge, float] | None, edge_bits: int) -> "Graph":
+                 weights: dict[Edge, float] | None,
+                 edge_bits: int | None = None) -> "Graph":
         """Graph from parts that are already valid, skipping __post_init__:
         edges canonical and inside the universe, weights in [0, 1] on listed
-        edges only, and edge_bits equal to pack_edges(edges, n)."""
+        edges only, and edge_bits, when given, equal to
+        pack_edges(edges, n); when omitted it is packed on first use."""
         g = object.__new__(cls)
-        g.__dict__.update(n=n, edges=edges, weights=weights, edge_bits=edge_bits)
+        g.__dict__.update(n=n, edges=edges, weights=weights)
+        if edge_bits is not None:
+            g.__dict__["edge_bits"] = edge_bits
         return g
 
     @cached_property
@@ -207,6 +221,14 @@ class InjectionRecord:
                 if x not in (-1, 0, 1):
                     raise ParameterError(f"injection entry {x} not in {{-1, 0, +1}}")
         object.__setattr__(self, "matrix", mat)
+
+    @classmethod
+    def _trusted(cls, matrix: tuple[tuple[int, ...], ...]) -> "InjectionRecord":
+        """Record of a matrix that is already valid (as validated by
+        LabeledDataset), skipping __post_init__."""
+        rec = object.__new__(cls)
+        rec.__dict__["matrix"] = matrix
+        return rec
 
     @property
     def n_graphs(self) -> int:

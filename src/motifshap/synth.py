@@ -199,6 +199,5 @@ def generate(cfg: SynthConfig) -> tuple[LabeledDataset, InjectionRecord, tuple[M
         labels.append(label)
         injections.append(tuple(row))
 
-    record = InjectionRecord(tuple(injections))
-    dataset = LabeledDataset(cfg.n, tuple(graphs), tuple(labels), record.matrix)
-    return dataset, record, motifs
+    dataset = LabeledDataset(cfg.n, tuple(graphs), tuple(labels), tuple(injections))
+    return dataset, InjectionRecord._trusted(dataset.injections), motifs

@@ -18,7 +18,8 @@ from motifshap import (
     generate,
     train_linear_surrogate,
 )
-from motifshap.blackbox import sigmoid
+from motifshap.blackbox import _feature_matrix, sigmoid
+from motifshap.graphs import pair_index
 
 from conftest import philox, random_graph, random_motif_set, random_weighted_graph
 
@@ -175,3 +176,22 @@ def test_surrogate_generalizes_to_held_out_graphs():
     held_out = LabeledDataset(100, dataset.graphs[150:], dataset.labels[150:])
     bb = train_linear_surrogate(train)
     assert accuracy(bb, held_out) >= 0.75
+
+
+def test_feature_matrix_matches_per_edge_reference():
+    n = 9
+    plain = random_graph(n, 0.4, philox(3))
+    listed = plain.sorted_edges()
+    graphs = [
+        plain,
+        Graph(n, plain.edges, {listed[0]: 0.25, listed[3]: 1.0}),
+        Graph(n, plain.edges, {listed[1]: 0.0}),
+        random_weighted_graph(n, 0.4, philox(4)),
+        Graph(n, frozenset()),
+    ]
+    x = _feature_matrix(graphs, n)
+    for row, g in zip(x, graphs):
+        expected = np.zeros(n * (n - 1) // 2)
+        for u, v in g.edges:
+            expected[pair_index(u, v, n)] = g.weight((u, v))
+        assert np.array_equal(row, expected)

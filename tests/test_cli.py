@@ -1,3 +1,4 @@
+import io
 import json
 import pathlib
 import subprocess
@@ -397,3 +398,12 @@ def test_pipeline_rejects_nesting_and_junk(tmp_path, capsys):
 def test_blackbox_serve_requires_motifs(capsys):
     assert run(["blackbox-serve", "--rho", "0.5"]) == 2
     capsys.readouterr()
+
+
+def test_blackbox_serve_invalid_request_exits_3(synth_files, monkeypatch, capsys):
+    _, motif_path = synth_files
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        '{"hello":"motif-shap/1"}\n{"id":0,"n":30,"edges":[[1,1,1.0]]}\n'))
+    code = run(["blackbox-serve", "--motifs", str(motif_path), "--rho", "0.2,0.6,1.0"])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "InputFormatError"

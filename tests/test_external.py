@@ -12,11 +12,19 @@ from motifshap import (
     Graph,
     GroundTruthScorer,
     InputFormatError,
+    LabeledDataset,
+    MaskingStrategy,
     Motif,
+    SynthConfig,
     TransportError,
+    UniverseMismatchError,
+    generate,
+    save_dataset,
     save_motifs,
     serve,
+    train_linear_surrogate,
 )
+from motifshap.blackbox import _request_line
 
 from conftest import philox, random_graph, random_motif_set, random_weighted_graph
 
@@ -46,6 +54,60 @@ def test_served_scorer_matches_in_process(tmp_path):
         for seed in range(5):
             g = random_weighted_graph(N, 0.4, philox(100 + seed))
             assert remote.evaluate(g) == pytest.approx(local.evaluate(g), abs=1e-12)
+
+
+def test_served_surrogate_is_bit_identical(tmp_path):
+    cfg = SynthConfig(n=N, n_graphs=20, density=0.3, motif_spec=(2, 2),
+                      rho=(0.5, 0.5), seed=5)
+    data, _, motifs = generate(cfg)
+    path = tmp_path / "train.json"
+    save_dataset(data, path)
+    local = train_linear_surrogate(data)
+    graphs = [random_graph(N, 0.4, philox(seed)) for seed in range(5)]
+    graphs += [random_weighted_graph(N, 0.4, philox(100 + seed)) for seed in range(5)]
+    average = MaskingStrategy.average(data)
+    graphs += [average.mask(g, subset) for g in data.graphs[:3]
+               for subset in ([motifs[0]], [motifs[1]], motifs)]
+    cmd = [sys.executable, "-m", "motifshap", "blackbox-serve",
+           "--blackbox", "surrogate", "--train-dataset", str(path)]
+    with ExternalBlackBox(cmd) as remote:
+        for g in graphs:
+            assert remote.evaluate(g) == local.evaluate(g)
+
+
+def _reference_request(rid, g):
+    return json.dumps({"id": rid, "n": g.n,
+                       "edges": [[u, v, g.weight((u, v))] for (u, v) in sorted(g.edges)]},
+                      separators=(",", ":")) + "\n"
+
+
+def test_request_line_matches_json_reference():
+    motifs = random_motif_set(N, 3, 3, philox(21))
+    plain = [random_graph(N, 0.4, philox(seed)) for seed in range(4)]
+    # background frequencies of 0, 1/3 and 2/3: edge (0, 9) is in no
+    # background graph, (0, 1) in one, (0, 2) in two
+    background = LabeledDataset(N, (
+        Graph.from_edges(N, [(0, 1), (0, 2)]),
+        Graph.from_edges(N, [(0, 2)]),
+        Graph.from_edges(N, [(3, 4)]),
+    ), (0, 1, 0))
+    fractional = Motif(9, frozenset({(0, 1), (0, 2), (0, 9)}), 1)
+    average = MaskingStrategy.average(background)
+    averaged = [average.mask(g, [m, fractional]) for g in plain for m in motifs]
+    assert {0.0, 1 / 3, 2 / 3} <= set(averaged[0].weights.values())
+    graphs = [
+        *plain,
+        *(MaskingStrategy.remove().mask(g, motifs[:2]) for g in plain),
+        *(MaskingStrategy.toggle().mask(g, motifs[1:]) for g in plain),
+        *averaged,
+        Graph(N, frozenset({(0, 1), (2, 5), (3, 9)}), {(2, 5): 0.1}),
+        Graph(N, frozenset()),
+        Graph(2, frozenset()),
+        Graph(2, frozenset({(0, 1)})),
+        Graph(2, frozenset({(0, 1)}), {(0, 1): 0.7}),
+    ]
+    for rid, g in enumerate(graphs):
+        assert _request_line(rid, g) == _reference_request(rid, g).encode("ascii")
 
 
 def test_client_is_a_context_manager_and_closes(tmp_path):
@@ -195,3 +257,39 @@ def test_serve_empty_input_returns_quietly():
     out = io.StringIO()
     serve(bb, io.StringIO(""), out)
     assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("request_line", [
+    '{"id": 0, "n": 4, "edges": [[1, 1, 1.0]]}',
+    '{"id": 0, "n": 4, "edges": [[0, 4, 1.0]]}',
+    '{"id": 0, "n": 4, "edges": [[-1, 2, 1.0]]}',
+    '{"id": 0, "n": -4, "edges": []}',
+    '{"id": 0, "n": 4, "edges": [[Infinity, 1, 1.0]]}',
+])
+def test_serve_rejects_invalid_wire_graph(request_line):
+    bb = GroundTruthScorer(4, [Motif(0, frozenset({(0, 1)}), 1)], [1.0])
+    stdin = io.StringIO('{"hello": "motif-shap/1"}\n' + request_line + "\n")
+    with pytest.raises(InputFormatError):
+        serve(bb, stdin, io.StringIO())
+
+
+def test_serve_edge_listed_in_both_orientations_takes_last_weight():
+    bb = GroundTruthScorer(4, [Motif(0, frozenset({(0, 1)}), 1)], [1.0])
+    stdin = io.StringIO(
+        '{"hello": "motif-shap/1"}\n'
+        '{"id": 0, "n": 4, "edges": [[0, 1, 0.25], [1, 0, 0.75]]}\n')
+    stdout = io.StringIO()
+    serve(bb, stdin, stdout)
+    p = json.loads(stdout.getvalue().splitlines()[1])["p"]
+    assert p == bb.evaluate(Graph(4, frozenset({(0, 1)}), {(0, 1): 0.75}))
+    assert p != bb.evaluate(Graph(4, frozenset({(0, 1)}), {(0, 1): 0.25}))
+
+
+def test_serve_request_over_another_universe_is_a_mismatch():
+    # the edge bits of a served graph are packed only after the black box
+    # has checked n, so a huge n costs no n-sized allocation
+    bb = GroundTruthScorer(4, [Motif(0, frozenset({(0, 1)}), 1)], [1.0])
+    stdin = io.StringIO('{"hello": "motif-shap/1"}\n'
+                        '{"id": 0, "n": 1000000000000, "edges": [[0, 1, 1.0]]}\n')
+    with pytest.raises(UniverseMismatchError):
+        serve(bb, stdin, io.StringIO())
