@@ -39,15 +39,15 @@ from .errors import (
     UniverseMismatchError,
 )
 from .graphs import (
-    Edge,
     Graph,
     LabeledDataset,
     Motif,
+    _node_pairs,
     all_pairs,
-    canonical_edge,
     pack_edges,
     pair_index,
     unpack_edges,
+    weight_vector,
 )
 
 PROTOCOL_HELLO = "motif-shap/1"
@@ -91,9 +91,6 @@ class GroundTruthScorer(BlackBox):
         for m in motifs:
             if m.class_sign is None:
                 raise ConfigurationError(f"motif {m.id} has no class sign")
-            if m.max_node() >= n:
-                raise UniverseMismatchError(
-                    f"motif {m.id} exceeds node universe [0, {n})")
         for u in importances:
             if u < 0:
                 raise ConfigurationError("importances must be nonnegative")
@@ -153,16 +150,8 @@ class LinearSurrogate(BlackBox):
 
 
 def _feature_matrix(graphs: Sequence[Graph], n: int) -> np.ndarray:
-    """One row per graph of node-pair edge weights, in pair_index order:
-    the edge bits unpacked to 0.0/1.0, then every listed weight other than
-    1.0 written over its pair."""
-    x = np.empty((len(graphs), n * (n - 1) // 2), dtype=np.float64)
-    for i, g in enumerate(graphs):
-        x[i] = unpack_edges(g.edge_bits, n)
-        for (u, v), w in (g.weights or {}).items():
-            if w != 1.0:
-                x[i, pair_index(u, v, n)] = w
-    return x
+    """One row per graph: its weight_vector over the n-node universe."""
+    return np.array([weight_vector(g) for g in graphs]).reshape(len(graphs), n * (n - 1) // 2)
 
 
 def train_linear_surrogate(d: LabeledDataset,
@@ -338,29 +327,23 @@ class ExternalBlackBox(BlackBox):
 
 
 def _parse_wire_graph(obj: dict) -> Graph:
-    """Graph of one request, from a single pass over its edges that
-    converts, canonicalizes, range-checks and collects the weights other
-    than 1.0 (an edge listed twice takes its last weight). Raises
-    ValueError or ParameterError on an invalid request. The edge bits are
-    left to be packed on first use, after the black box has checked n."""
+    """Graph of one request, validated in one numpy pass over its edges
+    (node ids as the Graph constructor checks them, weights in [0, 1]);
+    an edge listed twice takes its last weight, and only weights other
+    than 1.0 are kept. Raises ValueError or ParameterError on an invalid
+    request. The edge bits are packed on first read, after the black box
+    has checked n."""
     n = int(obj["n"])
-    if n < 0:
-        raise ValueError("node count must be nonnegative")
-    edges: set[Edge] = set()
-    weights: dict[Edge, float] = {}
-    for item in obj["edges"]:
-        u, v, w = int(item[0]), int(item[1]), float(item[2])
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"edge weight {w} outside [0, 1]")
-        e = (u, v) if u < v else canonical_edge(u, v)
-        if e[0] < 0 or e[1] >= n:
-            raise ValueError(f"edge {e} outside node universe [0, {n})")
-        edges.add(e)
-        if w != 1.0:
-            weights[e] = w
-        elif e in weights:
-            del weights[e]
-    return Graph._trusted(n, frozenset(edges), weights or None)
+    lo, hi, (w,) = _node_pairs(obj["edges"], n, width=3)
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != lo.shape or not np.all((w >= 0.0) & (w <= 1.0)):
+        raise ValueError("every edge weight must be a number in [0, 1]")
+    # the last listing of each pair: first occurrence in the reversed list
+    _, last = np.unique(pair_index(lo, hi, n)[::-1], return_index=True)
+    last = len(w) - 1 - last
+    last = last[w[last] != 1.0]
+    weights = dict(zip(zip(lo[last].tolist(), hi[last].tolist()), w[last].tolist()))
+    return Graph._trusted(n, (lo, hi), weights or None)
 
 
 def serve(bb: BlackBox, stdin: IO[str] | None = None,

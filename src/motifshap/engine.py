@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +34,7 @@ from .errors import (
     ParameterError,
     UniverseMismatchError,
 )
-from .graphs import Edge, Graph, Motif, all_pairs
+from .graphs import Graph, Motif, unpack_edges, weight_vector
 from .masking import MaskingStrategy
 
 #: Largest motif set exact_explain will enumerate (2^20 coalitions).
@@ -144,20 +143,12 @@ def query_budget(n_motifs: int, depth: int | str) -> int:
     return sum(math.comb(n_motifs, k) for k in range(min(d, n_motifs) + 1))
 
 
-@lru_cache(maxsize=8)
-def _pair_positions(n: int) -> dict[Edge, int]:
-    return {e: i for i, e in enumerate(all_pairs(n))}
-
-
 def _graph_key(g: Graph):
     """Content key of a masked graph: its edge bits, plus, when it is
     weighted, the bytes of its edge weights in pair_index order."""
     if g.weights is None:
         return g.edge_bits
-    weights = {**dict.fromkeys(g.edges, 1.0), **g.weights}
-    positions = _pair_positions(g.n)
-    order = np.argsort(np.fromiter(map(positions.__getitem__, weights), np.int64, len(weights)))
-    values = np.fromiter(weights.values(), np.float64, len(weights))[order]
+    values = weight_vector(g)[unpack_edges(g.edge_bits, g.n).view(bool)]
     # + 0.0 turns -0.0 into 0.0, which compares equal to it
     return g.edge_bits, (values + 0.0).tobytes()
 

@@ -2,10 +2,14 @@
 
 Every graph in a dataset is defined over the same node set 0..n-1, so a
 node index means the same entity in every graph and subgraph matching
-reduces to comparing edge identities. Edges are stored canonically as
-(u, v) tuples with u < v; edge sets additionally expose a bit-level
-representation indexed by the fixed enumeration of all n*(n-1)/2 node
-pairs, which makes intersection/union counting cheap.
+reduces to comparing edge identities. The n*(n-1)/2 node pairs have one
+fixed enumeration, pair_index, which is ascending (u, v) with u < v. A
+graph holds its edge set as one integer, edge_bits, whose bit i is set
+when the pair with pair_index i is an edge: masks are integer AND-NOT,
+XOR and OR, and intersections and unions are popcounts. The frozenset of
+(u, v) tuples is derived from the bits only when it is read. Edge lists
+from callers and files are validated in one numpy pass and packed.
+Motifs stay frozensets of canonical (u, v) tuples.
 
 Edge support has one source: each dataset's occurrence index, built once
 on first use, maps every edge to an integer whose bit j is set when graph
@@ -22,7 +26,6 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -56,13 +59,48 @@ def all_pairs(n: int) -> tuple[Edge, ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
-def pack_edges(edges: Iterable[Edge], n: int) -> int:
-    """Canonical in-universe edges packed into one integer, bit i set for
-    the pair with pair_index i."""
-    uv = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
-    flags = np.zeros(n * (n - 1) // 2, dtype=np.uint8)
-    flags[pair_index(uv[0::2], uv[1::2], n)] = 1
+def pack_flags(flags: np.ndarray) -> int:
+    """0/1 flags as one integer, bit i set when flags[i] is nonzero."""
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _node_pairs(edges: Iterable[Sequence], n: int,
+                width: int = 2) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Columns of a list of edges of width entries or more, validated in
+    one numpy pass (the first bad edge raises ParameterError): the smaller
+    and larger node id of each edge as int64 arrays, in list order, and
+    the columns from the third to width."""
+    if n < 0:
+        raise ParameterError("node count must be nonnegative")
+    rows = edges if isinstance(edges, Sequence) else list(edges)
+    cols = list(zip(*rows)) if len(rows) else [()] * width
+    if len(cols) < width:
+        raise ParameterError(f"every edge must list {width} entries")
+    u, v = np.asarray(cols[0]), np.asarray(cols[1])
+    # numpy reads a column of ints and bools as ints, so look for bools
+    if len(rows) and (u.dtype.kind not in "iu" or v.dtype.kind not in "iu"
+                      or bool in map(type, cols[0] + cols[1])):
+        raise ParameterError("node ids must be integers")
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = (lo == hi) | (lo < 0) | (hi >= n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        e = canonical_edge(int(lo[i]), int(hi[i]))  # raises on a self-loop
+        raise UniverseMismatchError(f"edge {e} outside node universe [0, {n})")
+    return lo.astype(np.int64), hi.astype(np.int64), tuple(cols[2:width])
+
+
+def _pack_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> int:
+    flags = np.zeros(n * (n - 1) // 2, dtype=np.uint8)
+    flags[pair_index(lo, hi, n)] = 1
+    return pack_flags(flags)
+
+
+def pack_edges(edges: Iterable[Sequence[int]], n: int) -> int:
+    """Validated edges packed into one integer, bit i set for the pair
+    with pair_index i."""
+    lo, hi, _ = _node_pairs(edges, n)
+    return _pack_pairs(lo, hi, n)
 
 
 def unpack_edges(bits: int, n: int) -> np.ndarray:
@@ -73,80 +111,91 @@ def unpack_edges(bits: int, n: int) -> np.ndarray:
     return np.unpackbits(packed, count=dim, bitorder="little")
 
 
-def _canonicalize(edges: Iterable[Sequence[int]], n: int) -> frozenset[Edge]:
-    out = set()
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
-        e = canonical_edge(u, v)
-        if e[0] < 0 or e[1] >= n:
-            raise ParameterError(f"edge {e} outside node universe [0, {n})")
-        out.add(e)
-    return frozenset(out)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
     """Simple undirected graph on nodes 0..n-1, optionally edge-weighted.
 
-    Unweighted graphs are equivalent to weight 1.0 on every listed edge;
-    weights, when present, cover a subset of the listed edges with values
-    in [0, 1]. Instances are immutable and safe to share across threads.
+    The edge set is edge_bits (bit i set: the pair with pair_index i is an
+    edge); edges and sorted_edges() are derived from it. Unweighted graphs
+    are equivalent to weight 1.0 on every edge; weights, when present, map
+    a subset of the edges, as (u, v) tuples with u < v, to values in
+    [0, 1]. Instances are immutable.
     """
 
     n: int
-    edges: frozenset[Edge]
+    edge_bits: int
     weights: Mapping[Edge, float] | None = None
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ParameterError("node count must be nonnegative")
-        object.__setattr__(self, "edges", _canonicalize(self.edges, self.n))
-        if self.weights is not None:
-            w = {canonical_edge(*e): float(x) for e, x in self.weights.items()}
-            for e, x in w.items():
-                if e not in self.edges:
-                    raise ParameterError(f"weighted edge {e} is not listed in the edge set")
+    def __init__(self, n: int, edges: Iterable[Sequence[int]],
+                 weights: Mapping[Sequence[int], float] | None = None):
+        bits = pack_edges(edges, n)
+        if weights is not None:
+            lo, hi, _ = _node_pairs(list(weights), n)
+            weights = dict(zip(zip(lo.tolist(), hi.tolist()), map(float, weights.values())))
+            for (u, v), x in weights.items():
+                if not bits >> pair_index(u, v, n) & 1:
+                    raise ParameterError(
+                        f"weighted edge {(u, v)} is not listed in the edge set")
                 if not 0.0 <= x <= 1.0:
                     raise ParameterError(f"edge weight {x} outside [0, 1]")
-            object.__setattr__(self, "weights", w)
+        self.__dict__.update(n=n, edge_bits=bits, weights=weights)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]],
                    weights: Mapping[Edge, float] | None = None) -> "Graph":
         """Graph from any iterable of node pairs; the constructor
-        canonicalizes and checks them."""
+        validates them."""
         return cls(n, edges, weights)
 
+    @classmethod
+    def _trusted(cls, n: int, edge_bits: int | tuple[np.ndarray, np.ndarray],
+                 weights: dict[Edge, float] | None = None) -> "Graph":
+        """Graph from valid parts, unchecked: weights in [0, 1] on edges
+        only; edge_bits packed, or node columns from _node_pairs that are
+        packed on first read, so that a wire request over a huge universe
+        allocates nothing n-sized before the black box has checked n."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, weights=weights)
+        g.__dict__["edge_bits" if isinstance(edge_bits, int) else "_pairs"] = edge_bits
+        return g
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute that is not set, such as the
+        # edge_bits of a graph given node columns before its first read
+        pairs = self.__dict__.get("_pairs") if name == "edge_bits" else None
+        if pairs is None:
+            raise AttributeError(f"'Graph' object has no attribute {name!r}")
+        bits = self.__dict__["edge_bits"] = _pack_pairs(*pairs, self.n)
+        return bits
+
+    def sorted_edges(self) -> list[Edge]:
+        """The edges in ascending (u, v) order, which is pair_index order."""
+        pairs = all_pairs(self.n)
+        return [pairs[i] for i in np.flatnonzero(unpack_edges(self.edge_bits, self.n)).tolist()]
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        """The edge set as canonical (u, v) tuples, u < v."""
+        return frozenset(self.sorted_edges())
+
     def weight(self, e: Edge) -> float:
-        """Weight of edge e: listed weight, 1.0 for an unweighted listed
-        edge, 0.0 for an absent edge."""
-        if e not in self.edges:
+        """Weight of edge e: listed weight, 1.0 for an unweighted edge, 0.0
+        for an absent edge or a key that is no (u, v) pair with u < v."""
+        u, v = e
+        if not (0 <= u < v < self.n and self.edge_bits >> pair_index(u, v, self.n) & 1):
             return 0.0
         if self.weights is None:
             return 1.0
-        return self.weights.get(e, 1.0)
+        return self.weights.get((u, v), 1.0)
 
-    @classmethod
-    def _trusted(cls, n: int, edges: frozenset[Edge],
-                 weights: dict[Edge, float] | None,
-                 edge_bits: int | None = None) -> "Graph":
-        """Graph from parts that are already valid, skipping __post_init__:
-        edges canonical and inside the universe, weights in [0, 1] on listed
-        edges only, and edge_bits, when given, equal to
-        pack_edges(edges, n); when omitted it is packed on first use."""
-        g = object.__new__(cls)
-        g.__dict__.update(n=n, edges=edges, weights=weights)
-        if edge_bits is not None:
-            g.__dict__["edge_bits"] = edge_bits
-        return g
 
-    @cached_property
-    def edge_bits(self) -> int:
-        """Edge set packed into one integer, bit i = pair_index i present."""
-        return pack_edges(self.edges, self.n)
-
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+def weight_vector(g: Graph) -> np.ndarray:
+    """g.weight of every node pair of its universe, in pair_index order."""
+    x = unpack_edges(g.edge_bits, g.n).astype(np.float64)
+    for (u, v), w in (g.weights or {}).items():
+        if w != 1.0:
+            x[pair_index(u, v, g.n)] = w
+    return x
 
 
 def is_connected(edges: Iterable[Edge]) -> bool:
@@ -192,6 +241,8 @@ class Motif:
         object.__setattr__(self, "edges", edges)
         if not edges:
             raise ParameterError(f"motif {self.id}: edge set must be nonempty")
+        if min(u for u, _ in edges) < 0:
+            raise ParameterError(f"motif {self.id}: node ids must be nonnegative")
         if not is_connected(edges):
             raise ParameterError(f"motif {self.id}: edge set must be connected")
         if self.class_sign not in (None, -1, 1):
@@ -290,12 +341,12 @@ class LabeledDataset:
     def edge_index(self) -> dict[Edge, int]:
         """Occurrence bitset per edge: bit j is set when graph j contains
         the edge. Edges absent from every graph have no entry."""
-        index: dict[Edge, int] = {}
-        for j, g in enumerate(self.graphs):
-            bit = 1 << j
-            for e in g.edges:
-                index[e] = index.get(e, 0) | bit
-        return index
+        flags = np.array([unpack_edges(g.edge_bits, self.n) for g in self.graphs],
+                         np.uint8).reshape(len(self.graphs), self.n * (self.n - 1) // 2)
+        columns = np.packbits(flags, axis=0, bitorder="little").T.copy()
+        pairs = all_pairs(self.n)
+        return {pairs[i]: int.from_bytes(columns[i].tobytes(), "little")
+                for i in np.flatnonzero(flags.any(axis=0)).tolist()}
 
     @cached_property
     def label_bits(self) -> dict[int | None, int]:
@@ -346,11 +397,8 @@ def edge_frequency(d: LabeledDataset, e: Edge) -> float:
 def support(m: Iterable[Edge], d: LabeledDataset, label_filter: int | None = None) -> int:
     """Number of graphs (optionally restricted to one label) whose edge set
     contains every edge of m. The empty set is supported by all graphs."""
-    edges = frozenset(canonical_edge(*e) for e in m)
-    for _, v in edges:
-        if v >= d.n:
-            raise UniverseMismatchError(f"motif edge beyond node universe [0, {d.n})")
-    return d.occurrence_bits(edges, label_filter).bit_count()
+    lo, hi, _ = _node_pairs(m, d.n)
+    return d.occurrence_bits(zip(lo.tolist(), hi.tolist()), label_filter).bit_count()
 
 
 # --- JSON file formats -------------------------------------------------
@@ -400,8 +448,6 @@ def load_dataset(path: str | os.PathLike) -> LabeledDataset:
             labels.append(int(entry["label"]))
             graphs.append(Graph.from_edges(n, entry["edges"]))
         return LabeledDataset(n, tuple(graphs), tuple(labels), doc.get("injections"))
-    except InputFormatError:
-        raise
     except (KeyError, TypeError, ValueError, IndexError, ParameterError) as exc:
         raise InputFormatError(f"{path}: malformed dataset: {exc}") from exc
 
@@ -426,8 +472,10 @@ def save_dataset(d: LabeledDataset, path: str | os.PathLike) -> None:
 def _motif_from_entry(n: int, entry: Mapping) -> Motif:
     cls = entry.get("class")
     sign = None if cls is None else (1 if int(cls) == 1 else -1)
-    edges = _canonicalize(entry["edges"], n)
-    return Motif(int(entry["id"]), edges, sign)
+    lo, hi, _ = _node_pairs(entry["edges"], n)
+    # the set is built edge by edge in file order, which fixes the
+    # iteration order of the motif's edge frozenset (see GroundTruthScorer)
+    return Motif(int(entry["id"]), frozenset(set(zip(lo.tolist(), hi.tolist()))), sign)
 
 
 def load_motifs(path: str | os.PathLike) -> tuple[int, list[Motif]]:
@@ -436,8 +484,6 @@ def load_motifs(path: str | os.PathLike) -> tuple[int, list[Motif]]:
     try:
         n = int(doc["n"])
         return n, [_motif_from_entry(n, entry) for entry in doc["motifs"]]
-    except InputFormatError:
-        raise
     except (KeyError, TypeError, ValueError, IndexError, ParameterError) as exc:
         raise InputFormatError(f"{path}: malformed motif file: {exc}") from exc
 

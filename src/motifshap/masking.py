@@ -14,8 +14,8 @@ Remove and toggle emit unweighted graphs. Average emits a weighted graph
 and therefore requires a black box that accepts edge weights.
 
 Masked graphs are built from the already valid input graph and motifs
-without re-validation; their packed edge bits follow from the input's by
-AND-NOT (remove), XOR (toggle) or OR (average) with the union's bits.
+without re-validation, as integer operations on the edge bits: AND-NOT
+(remove), XOR (toggle) or OR (average) with the union's bits.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import ConfigurationError, UniverseMismatchError
-from .graphs import Edge, Graph, LabeledDataset, Motif, edge_frequency, pack_edges
+from .graphs import Graph, LabeledDataset, Motif, edge_frequency, pack_edges
 
 
 @dataclass(frozen=True)
@@ -61,33 +61,27 @@ class MaskingStrategy:
         return self.kind == "average"
 
     def _motif_bits(self, m: Motif, n: int) -> int:
-        key = (m, n)
-        try:
-            return self._bits_cache[key]
-        except KeyError:
-            if m.max_node() >= n:
-                raise UniverseMismatchError(
-                    f"motif edge beyond the graph's node universe [0, {n})") from None
-            bits = self._bits_cache[key] = pack_edges(m.edges, n)
-            return bits
+        bits = self._bits_cache.get((m, n))
+        if bits is None:
+            bits = self._bits_cache[m, n] = pack_edges(m.edges, n)
+        return bits
 
     def mask(self, g: Graph, motifs: Iterable[Motif]) -> Graph:
         """Graph presented to the black box when the given motifs are
         masked in g. An empty motif collection returns g itself for the
         unweighted strategies; average still normalizes the output to its
         weighted form so that coalition values stay comparable."""
-        union: set[Edge] = set()
+        motifs = tuple(motifs)
         union_bits = 0
         for m in motifs:
             union_bits |= self._motif_bits(m, g.n)
-            union |= m.edges
 
         if self.kind != "average":
-            if not union and g.weights is None:
+            if not motifs and g.weights is None:
                 return g
             if self.kind == "remove":
-                return Graph._trusted(g.n, g.edges - union, None, g.edge_bits & ~union_bits)
-            return Graph._trusted(g.n, g.edges ^ union, None, g.edge_bits ^ union_bits)
+                return Graph._trusted(g.n, g.edge_bits & ~union_bits)
+            return Graph._trusted(g.n, g.edge_bits ^ union_bits)
 
         # average: union edges are always present, carrying their
         # background frequency (possibly 0.0); other edges keep the
@@ -98,6 +92,7 @@ class MaskingStrategy:
         weights = dict.fromkeys(g.edges, 1.0)
         if g.weights is not None:
             weights.update(g.weights)
-        for e in union:
-            weights[e] = edge_frequency(self.background, e)
-        return Graph._trusted(g.n, g.edges | union, weights, g.edge_bits | union_bits)
+        for m in motifs:
+            for e in m.edges:
+                weights[e] = edge_frequency(self.background, e)
+        return Graph._trusted(g.n, g.edge_bits | union_bits, weights)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .graphs import Edge, Graph, InjectionRecord, LabeledDataset, Motif, all_pairs
+from .graphs import Edge, Graph, InjectionRecord, LabeledDataset, Motif, pack_edges, pack_flags
 
 
 def _philox(seq: np.random.SeedSequence) -> np.random.Generator:
@@ -87,11 +87,9 @@ class SynthConfig:
         return np.asarray(self.correlation, dtype=np.float64)
 
 
-def _er_edges(n: int, density: float, rng: np.random.Generator) -> set[Edge]:
-    """Edge set of an ER draw, one uniform per pair in pair_index order."""
-    pairs = all_pairs(n)
-    draws = rng.random(len(pairs))
-    return {pairs[i] for i in np.flatnonzero(draws < density)}
+def _er_bits(n: int, density: float, rng: np.random.Generator) -> int:
+    """Edge bits of an ER draw, one uniform per pair in pair_index order."""
+    return pack_flags(rng.random(n * (n - 1) // 2) < density)
 
 
 def erdos_renyi(n: int, density: float, rng: np.random.Generator) -> Graph:
@@ -99,7 +97,7 @@ def erdos_renyi(n: int, density: float, rng: np.random.Generator) -> Graph:
     given probability, consuming exactly one uniform per pair."""
     if not 0.0 < density < 1.0:
         raise ParameterError("density must lie in (0, 1)")
-    return Graph(n, frozenset(_er_edges(n, density, rng)))
+    return Graph._trusted(n, _er_bits(n, density, rng))
 
 
 def sample_motifs(n: int, n_motifs: int, edges_per_motif: int,
@@ -167,11 +165,8 @@ def generate(cfg: SynthConfig) -> tuple[LabeledDataset, InjectionRecord, tuple[M
         motifs = sample_motifs(cfg.n, n_m, m_e, _philox(seq_motifs))
     else:
         motifs = tuple(cfg.motif_spec)
-        for m in motifs:
-            if m.max_node() >= cfg.n:
-                raise ParameterError(
-                    f"motif {m.id} exceeds node universe [0, {cfg.n})")
     n_m = len(motifs)
+    motif_bits = [pack_edges(m.edges, cfg.n) for m in motifs]
 
     r_matrix = _philox(seq_r).random((cfg.n_graphs, n_m)) if n_m else \
         np.zeros((cfg.n_graphs, 0))
@@ -183,19 +178,19 @@ def generate(cfg: SynthConfig) -> tuple[LabeledDataset, InjectionRecord, tuple[M
     injections = []
     for j in range(cfg.n_graphs):
         label = j % 2
-        edges = _er_edges(cfg.n, cfg.density, _philox(er_streams[j]))
+        bits = _er_bits(cfg.n, cfg.density, _philox(er_streams[j]))
         row = []
-        for k, motif in enumerate(motifs):
+        for k in range(n_m):
             if float(corr[k] @ r_matrix[j]) <= cfg.rho[k]:
                 if j % 2 == k % 2:
-                    edges |= motif.edges
+                    bits |= motif_bits[k]
                     row.append(1)
                 else:
-                    edges -= motif.edges
+                    bits &= ~motif_bits[k]
                     row.append(-1)
             else:
                 row.append(0)
-        graphs.append(Graph(cfg.n, frozenset(edges)))
+        graphs.append(Graph._trusted(cfg.n, bits))
         labels.append(label)
         injections.append(tuple(row))
 

@@ -8,6 +8,7 @@ from motifshap import (
     Graph,
     InputFormatError,
     LabeledDataset,
+    MaskingStrategy,
     Motif,
     ParameterError,
     UniverseMismatchError,
@@ -22,6 +23,7 @@ from motifshap import (
     save_motifs,
     support,
 )
+from motifshap.blackbox import _parse_wire_graph
 from motifshap.graphs import (
     all_pairs,
     atomic_write_text,
@@ -68,6 +70,18 @@ def test_weight_convention():
     assert g.weight((0, 2)) == 0.0
 
 
+def test_weight_of_a_non_canonical_key_is_zero():
+    # pair_index(3, 2, 4) and pair_index(0, 4, 4) land on the present
+    # pairs (1, 3) and (1, 2); neither key names an edge of the graph
+    for weights in (None, {(2, 3): 0.5}):
+        g = Graph(4, frozenset({(1, 2), (1, 3), (2, 3)}), weights)
+        assert g.weight((3, 2)) == 0.0
+        assert g.weight((0, 4)) == 0.0
+        assert g.weight((-1, 0)) == 0.0
+        assert g.weight((2, 2)) == 0.0
+        assert g.weight((1, 3)) == 1.0
+
+
 def test_weight_validation():
     with pytest.raises(ParameterError):
         Graph(4, frozenset({(0, 1)}), {(2, 3): 0.5})
@@ -80,6 +94,26 @@ def test_weight_validation():
 def test_weight_keys_canonicalized():
     g = Graph(4, frozenset({(0, 1)}), {(1, 0): 0.5})
     assert g.weight((0, 1)) == 0.5
+
+
+def test_graph_equality_and_hash_agree_across_constructors(tmp_path):
+    n, edges = 6, [(0, 1), (2, 4), (3, 5), (1, 4)]
+    path = tmp_path / "graph.json"
+    atomic_write_text(path, json.dumps({"n": n, "edges": [[v, u] for u, v in edges]}))
+    toggled = MaskingStrategy.toggle().mask(
+        Graph(n, [(0, 1), (2, 4), (0, 5)]),
+        [Motif(0, frozenset({(0, 5), (3, 5)})), Motif(1, frozenset({(1, 4)}))])
+    wire = _parse_wire_graph({"n": n, "edges": [[u, v, 1.0] for v, u in edges]})
+    built = [Graph(n, frozenset(edges)), Graph.from_edges(n, reversed(edges)),
+             toggled, load_graph_file(path), wire]
+    for g in built:
+        assert g == built[0]
+        assert hash(g) == hash(built[0])
+        assert g.edges == frozenset(edges)
+        assert g.sorted_edges() == sorted(edges)
+    assert len(set(built)) == 1
+    assert Graph(n, edges[1:]) != built[0]
+    assert Graph(n + 1, edges) != built[0]
 
 
 def test_edge_bits_matches_manual_bitmask():
@@ -107,6 +141,8 @@ def test_motif_requires_connected_nonempty_edges():
         Motif(2, frozenset({(0, 1), (2, 3)}))
     with pytest.raises(ParameterError):
         Motif(3, frozenset({(0, 1)}), class_sign=2)
+    with pytest.raises(ParameterError):
+        Motif(4, frozenset({(-1, 2), (2, 3)}))
 
 
 def test_jaccard_distance_basic():
@@ -175,6 +211,18 @@ def test_support():
     assert support([], d) == 4
     with pytest.raises(UniverseMismatchError):
         support([(0, 9)], d)
+    with pytest.raises(UniverseMismatchError):
+        support([(-1, 2)], d)
+
+
+def edge_index_by_loop(d: LabeledDataset) -> dict:
+    """The occurrence index built edge by edge: bit j of an edge's entry
+    is set when graph j has the edge."""
+    index = {}
+    for j, g in enumerate(d.graphs):
+        for e in g.edges:
+            index[e] = index.get(e, 0) | 1 << j
+    return index
 
 
 def test_support_index_matches_subset_scan():
@@ -189,6 +237,7 @@ def test_support_index_matches_subset_scan():
             Graph(n, frozenset(e for e in random_graph(n, 0.35, rng).edges if e[1] < n - 1))
             for _ in range(n_graphs))
         d = LabeledDataset(n, graphs, tuple(j % 2 for j in range(n_graphs)))
+        assert d.edge_index == edge_index_by_loop(d)
         for e in all_pairs(n):
             assert edge_frequency(d, e) == scan_support(d, [e]) / n_graphs
         motifs = [random_connected_motif(k, n, int(rng.integers(1, 5)), rng)
@@ -284,6 +333,10 @@ def test_graph_file_roundtrip(tmp_path):
     '{"n": 3, "graphs": [{"label": 0, "edges": [[0]]}]}',
     '{"n": 3, "graphs": [{"label": 0, "edges": [[0, 7]]}]}',
     '{"n": 3, "graphs": [{"label": 0, "edges": []}], "injections": [[5]]}',
+    '{"n": 4, "graphs": [{"label": 0, "edges": [[0, 1.7], [2, "3"]]}]}',
+    '{"n": 4, "graphs": [{"label": 0, "edges": [[0, 1.0]]}]}',
+    '{"n": 4, "graphs": [{"label": 0, "edges": [[2, "3"]]}]}',
+    '{"n": 4, "graphs": [{"label": 0, "edges": [[0, 1], [true, 2]]}]}',
 ])
 def test_malformed_dataset_raises_input_format_error(tmp_path, doc):
     path = tmp_path / "bad.json"
@@ -298,12 +351,41 @@ def test_malformed_dataset_raises_input_format_error(tmp_path, doc):
     '{"n": 3, "motifs": [{"id": 0, "edges": []}]}',
     '{"n": 3, "motifs": [{"id": 0, "edges": [[0, 1], [2, 3]]}]}',
     '{"n": 3, "motifs": [{"edges": [[0, 1]]}]}',
+    '{"n": 3, "motifs": [{"id": 0, "edges": [[0, 1.7]]}]}',
+    '{"n": 3, "motifs": [{"id": 0, "edges": [[0, "1"]]}]}',
+    '{"n": 3, "motifs": [{"id": 0, "edges": [[-1, 1]]}]}',
 ])
 def test_malformed_motif_file_raises_input_format_error(tmp_path, doc):
     path = tmp_path / "bad.json"
     path.write_text(doc)
     with pytest.raises(InputFormatError):
         load_motifs(path)
+
+
+@pytest.mark.parametrize("doc", [
+    '{"edges": [[0, 1]]}',
+    '{"n": 4, "edges": [[0]]}',
+    '{"n": 4, "edges": [[3, 3]]}',
+    '{"n": 4, "edges": [[0, 4]]}',
+    '{"n": 4, "edges": [[0, 1.7], [2, "3"]]}',
+    '{"n": 4, "edges": [[0, 1.0]]}',
+    '{"n": 4, "edges": [[0, 1], [true, 2]]}',
+    '{"n": -4, "edges": []}',
+])
+def test_malformed_graph_file_raises_input_format_error(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    with pytest.raises(InputFormatError):
+        load_graph_file(path)
+
+
+def test_first_offending_edge_is_reported():
+    with pytest.raises(ParameterError, match=r"edge \(1, 5\) outside node universe \[0, 4\)"):
+        Graph.from_edges(4, [(0, 1), (5, 1), (2, 2)])
+    with pytest.raises(ParameterError, match="self-loop on node 2"):
+        Graph.from_edges(4, [(0, 1), (2, 2), (5, 1)])
+    with pytest.raises(ParameterError, match="node ids must be integers"):
+        Graph.from_edges(4, [(0, 1), (2, 2.0)])
 
 
 def test_missing_file_raises_input_format_error(tmp_path):

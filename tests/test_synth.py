@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,14 +6,17 @@ import pytest
 
 from motifshap import (
     InjectionRecord,
+    MinerConfig,
     Motif,
     ParameterError,
     SynthConfig,
     erdos_renyi,
     generate,
     is_connected,
+    mine,
     sample_motifs,
 )
+from motifshap.graphs import dataset_to_json, motifs_to_json
 
 from conftest import injection_marginals, philox
 
@@ -227,3 +231,28 @@ def test_offdiagonal_correlation_suppresses_injections():
     # and perfectly correlated motifs fire together
     for row in rec.matrix:
         assert (row[0] != 0) == (row[1] != 0)
+
+
+@pytest.mark.parametrize("cfg, miner, dataset_digest, mined_digest", [
+    (SynthConfig(n=30, n_graphs=40, density=0.2, motif_spec=(3, 4),
+                 rho=(0.5, 0.8, 1.0), seed=11),
+     MinerConfig(support_threshold=6, max_size=4),
+     "d8c62bc601421af28224083298782a21e19e843f39264ff0343cd322d5254321",
+     "8553f14ab3bcf90ed018071874d46780094ea85d25614d481ef6f9c5cff9dfc6"),
+    (SynthConfig(n=24, n_graphs=30, density=0.25, motif_spec=(3, 3),
+                 rho=(0.6, 0.7, 0.9),
+                 correlation=((1.0, 0.5, 0.0), (0.5, 1.0, 0.3), (0.0, 0.3, 1.0)),
+                 seed=5),
+     MinerConfig(support_threshold=5, max_size=4, label=1),
+     "953fb2f405b88e1e3c9cd0676f6a123ee2f696997ac1abcdd7c6dcb959b62a81",
+     "e54cbbe745c042fb759d1995eacaca98457ed39942d7164e12e9e2c14ab53a22"),
+], ids=["independent", "correlated"])
+def test_generate_and_mine_golden_bytes(cfg, miner, dataset_digest, mined_digest):
+    """Generator and miner output pinned to fixed bytes, so that a slip in
+    the bit order of generated edges shows even when it is consistent.
+    The outputs hold only integers, so the digests do not depend on libm
+    or BLAS."""
+    data, _, _ = generate(cfg)
+    mined = mine(data, miner)
+    assert hashlib.sha256(dataset_to_json(data).encode()).hexdigest() == dataset_digest
+    assert hashlib.sha256(motifs_to_json(data.n, mined).encode()).hexdigest() == mined_digest
