@@ -266,6 +266,10 @@ class ExternalBlackBox(BlackBox):
         while b"\n" not in self._rxbuf:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
+                # a late reply would be read as the answer to the next
+                # request, so the child cannot be reused: end it now
+                self._proc.kill()
+                self._proc.wait()
                 raise TransportError(
                     f"external black-box timed out after {self.timeout}s")
             readable, _, _ = select.select([fd], [], [], remaining)

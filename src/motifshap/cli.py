@@ -385,7 +385,7 @@ def _cmd_eval_expected(args: argparse.Namespace) -> int:
         raise ParameterError(f"{args.dataset} carries no injection record")
     n, motifs = load_motifs(args.motifs)
     rho = _parse_rho(args.rho)
-    table = expected_scores(InjectionRecord(dataset.injections), motifs, rho)
+    table = expected_scores(InjectionRecord._trusted(dataset.injections), motifs, rho)
     doc = {
         "n_g": len(table.matrix),
         "n_m": len(motifs),

@@ -56,10 +56,6 @@ class MaskingStrategy:
         if self.kind == "average" and self.background is None:
             raise ConfigurationError("average masking needs a background dataset")
 
-    @property
-    def weighted_output(self) -> bool:
-        return self.kind == "average"
-
     def _motif_bits(self, m: Motif, n: int) -> int:
         bits = self._bits_cache.get((m, n))
         if bits is None:

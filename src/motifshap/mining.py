@@ -1,11 +1,12 @@
 """Frequent-motif mining and cross-support ranking.
 
-Mining grows connected frequent edge sets level by level from frequent
-twoplets (two edges sharing a node): a motif of size goal is the union
-of an already-mined motif with a twoplet that shares at least one node
-with it. Support counting is the hot path: every candidate's support is
-the popcount of an AND chain over the dataset's occurrence index
-(LabeledDataset.occurrence_bits), one integer bit per graph.
+Mining grows connected frequent edge sets one edge at a time. Level 2
+is the frequent twoplets (two frequent edges sharing a node); level k+1
+extends each motif m of level k by every twoplet partner of one of its
+edges that m does not already hold. Each motif carries its occurrence
+bitset (one integer bit per graph, from LabeledDataset.occurrence_bits),
+so a candidate's support is the popcount of its parent's bitset ANDed
+with the new edge's.
 
 Ranking scores each motif by its cross-support, the absolute log2 ratio
 of smoothed per-class supports, then greedily selects motifs that are
@@ -70,50 +71,47 @@ def mine(d: LabeledDataset, cfg: MinerConfig) -> list[Motif]:
             f"{population} graphs available")
 
     s, label = cfg.support_threshold, cfg.label
-    frequent_edges = sorted(
-        e for e in d.edge_index if d.occurrence_bits((e,), label).bit_count() >= s)
+    occ: dict[Edge, int] = {}
+    for e in d.edge_index:
+        bits = d.occurrence_bits((e,), label)
+        if bits.bit_count() >= s:
+            occ[e] = bits
 
-    # frequent twoplets: connected pairs of frequent edges
+    # frequent twoplets (two frequent edges sharing a node) are level 2;
+    # two edges share at most one node, so each pair is met once here
     by_node: dict[int, list[Edge]] = {}
-    for e in frequent_edges:
+    for e in occ:
         by_node.setdefault(e[0], []).append(e)
         by_node.setdefault(e[1], []).append(e)
-    twoplets: list[frozenset[Edge]] = []
-    seen: set[frozenset[Edge]] = set()
-    for _, incident in sorted(by_node.items()):
+    partners: dict[Edge, list[Edge]] = {e: [] for e in occ}
+    level: dict[frozenset[Edge], int] = {}
+    for incident in by_node.values():
         for e1, e2 in combinations(incident, 2):
-            pair = frozenset((e1, e2))
-            if pair in seen:
-                continue
-            seen.add(pair)
-            if d.occurrence_bits(pair, label).bit_count() >= s:
-                twoplets.append(pair)
+            bits = occ[e1] & occ[e2]
+            if bits.bit_count() >= s:
+                partners[e1].append(e2)
+                partners[e2].append(e1)
+                level[frozenset((e1, e2))] = bits
 
-    mined: set[frozenset[Edge]] = set(twoplets)
-    level: list[frozenset[Edge]] = list(twoplets)
-    prev_level: list[frozenset[Edge]] = []
-    for goal in range(3, cfg.max_size + 1):
-        # candidates: union of a motif from the last two levels with a
-        # node-sharing twoplet, landing exactly on the goal size
-        nxt: set[frozenset[Edge]] = set()
-        for parents, gap in ((level, 1), (prev_level, 2)):
-            for m in parents:
-                nodes = {v for e in m for v in e}
-                for t in twoplets:
-                    if not any(v in nodes for e in t for v in e):
-                        continue
-                    u = m | t
-                    if len(u) != len(m) + gap:
-                        continue
-                    if u in mined or u in nxt:
-                        continue
-                    if d.occurrence_bits(u, label).bit_count() >= s:
-                        nxt.add(u)
-        mined |= nxt
-        prev_level = level
-        level = sorted(nxt, key=sorted)
-        if not level and not prev_level:
+    # Growing by one twoplet partner at a time is complete: a connected
+    # frequent set of k+1 edges has an edge f whose removal leaves it
+    # connected (a non-tree edge, or a leaf edge of a spanning tree). The
+    # rest is frequent, so it is on level k, and f shares a node with
+    # some edge e of it, so {e, f} is a frequent twoplet.
+    mined = list(level)
+    for _ in range(3, cfg.max_size + 1):
+        nxt: dict[frozenset[Edge], int] = {}
+        for m, bits in level.items():
+            for e in m:
+                for f in partners[e]:
+                    if f not in m:
+                        grown = bits & occ[f]
+                        if grown.bit_count() >= s:
+                            nxt[m | {f}] = grown
+        if not nxt:
             break
+        mined += nxt
+        level = nxt
 
     out = sorted(mined, key=lambda es: (len(es), sorted(es)))
     return [Motif(i, es) for i, es in enumerate(out)]

@@ -199,6 +199,8 @@ time.sleep(30)
     with ExternalBlackBox(_script(tmp_path, body), timeout=1.0) as bb:
         with pytest.raises(TransportError):
             bb.evaluate(Graph.from_edges(3, [(0, 1)]))
+        # the hung child is ended with the error, not left to sleep
+        bb._proc.wait(timeout=2)
 
 
 def test_missing_command_rejected(tmp_path):

@@ -98,11 +98,13 @@ def test_mine_matches_brute_force_random():
                      if rng.random() < 0.45]
             graphs.append(edges)
         d = _dataset(graphs, labels=[i % 2 for i in range(n_graphs)], n=5)
-        s = int(rng.integers(1, n_graphs + 1))
-        max_size = int(rng.integers(2, 5))
-        got = {m.edges for m in mine(d, MinerConfig(s, max_size))}
-        want = brute_force_frequent(d, s, max_size)
-        assert got == want
+        for label in (None, 0, 1):
+            population = sum(label in (None, y) for y in d.labels)
+            s = int(rng.integers(1, population + 1))
+            max_size = int(rng.integers(2, 5))
+            got = {m.edges for m in mine(d, MinerConfig(s, max_size, label))}
+            want = brute_force_frequent(d, s, max_size, label)
+            assert got == want, (seed, label)
 
 
 def test_mined_motifs_are_connected_and_frequent():
