@@ -42,6 +42,7 @@ from .graphs import (
     Graph,
     LabeledDataset,
     Motif,
+    _as_int,
     _node_pairs,
     all_pairs,
     pack_edges,
@@ -79,7 +80,9 @@ class GroundTruthScorer(BlackBox):
     so 1 when fully present and 0 when fully absent. The raw score sums
     class_sign_k * (2*overlap_k - 1) * u_k and is squashed through a
     logistic with steepness beta. On an unweighted graph the overlap is a
-    popcount of the graph's edge bits against the motif's.
+    popcount of the graph's edge bits against the motif's; on a weighted
+    graph its sum is math.fsum, correctly rounded, so equal motifs score
+    equally whatever order their edge sets iterate in.
     """
 
     def __init__(self, n: int, motifs: Sequence[Motif],
@@ -109,7 +112,7 @@ class GroundTruthScorer(BlackBox):
             if g.weights is None:
                 overlap = (g.edge_bits & bits).bit_count() / len(m.edges)
             else:
-                overlap = sum(g.weight(e) for e in m.edges) / len(m.edges)
+                overlap = math.fsum(g.weight(e) for e in m.edges) / len(m.edges)
             raw += m.class_sign * (2.0 * overlap - 1.0) * u
         return sigmoid(self.beta * raw)
 
@@ -335,9 +338,9 @@ def _parse_wire_graph(obj: dict) -> Graph:
     (node ids as the Graph constructor checks them, weights in [0, 1]);
     an edge listed twice takes its last weight, and only weights other
     than 1.0 are kept. Raises ValueError or ParameterError on an invalid
-    request. The edge bits are packed on first read, after the black box
-    has checked n."""
-    n = int(obj["n"])
+    request, including an n that is not an integer. The edge bits are
+    packed on first read, after the black box has checked n."""
+    n = _as_int(obj["n"], "node count")
     lo, hi, (w,) = _node_pairs(obj["edges"], n, width=3)
     w = np.asarray(w, dtype=np.float64)
     if w.shape != lo.shape or not np.all((w >= 0.0) & (w <= 1.0)):
@@ -355,9 +358,9 @@ def serve(bb: BlackBox, stdin: IO[str] | None = None,
     """Run the server side of the wire protocol until end of input.
 
     Replies in request order. A malformed line, including a request with a
-    self-loop, a node outside [0, n), a negative n or a weight outside
-    [0, 1], raises InputFormatError so the CLI can exit with the
-    format-error code instead of answering garbage."""
+    self-loop, a node outside [0, n), an n that is negative or not an
+    integer, or a weight outside [0, 1], raises InputFormatError so the
+    CLI can exit with the format-error code instead of answering garbage."""
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
 

@@ -9,7 +9,12 @@ when the pair with pair_index i is an edge: masks are integer AND-NOT,
 XOR and OR, and intersections and unions are popcounts. The frozenset of
 (u, v) tuples is derived from the bits only when it is read. Edge lists
 from callers and files are validated in one numpy pass and packed.
-Motifs stay frozensets of canonical (u, v) tuples.
+
+Motifs stay frozensets of canonical (u, v) tuples. The Motif constructor
+is their one validator; the file reader checks only what a file adds, and
+the miner, whose sets are canonical and connected by construction, skips
+it with Motif._trusted. Motif node ids, node counts, labels, injection
+entries and motif ids all pass one integer check, _as_int.
 
 Edge support has one source: each dataset's occurrence index, built once
 on first use, maps every edge to an integer whose bit j is set when graph
@@ -38,6 +43,14 @@ from .errors import (
 )
 
 Edge = tuple[int, int]
+
+
+def _as_int(x: object, what: str) -> int:
+    """x as an int when it is a Python or numpy integer; anything else,
+    such as 1.0, "1" or True, raises ParameterError."""
+    if type(x) is int or isinstance(x, np.integer):
+        return int(x)
+    raise ParameterError(f"{what} must be an integer, got {x!r}")
 
 
 def canonical_edge(u: int, v: int) -> Edge:
@@ -228,8 +241,10 @@ class Motif:
     """Connected, nonempty edge set over the shared node universe.
 
     ``class_sign`` is +1 for a motif predictive of class 1, -1 for class 0,
-    or None when no class is associated. Connectivity is checked here so
-    downstream code may assume it.
+    or None when no class is associated. The constructor takes any
+    iterable of node pairs, rejects self-loops and node ids that are not
+    nonnegative integers, stores (u, v) with u < v and checks
+    connectivity, so downstream code may assume all of it.
     """
 
     id: int
@@ -237,16 +252,30 @@ class Motif:
     class_sign: int | None = None
 
     def __post_init__(self):
-        edges = frozenset(canonical_edge(int(u), int(v)) for u, v in self.edges)
-        object.__setattr__(self, "edges", edges)
+        edges = set()
+        for u, v in self.edges:
+            if type(u) is not int or type(v) is not int:
+                u, v = _as_int(u, "node id"), _as_int(v, "node id")
+            u, v = canonical_edge(u, v)
+            if u < 0:
+                raise ParameterError(f"motif {self.id}: node ids must be nonnegative")
+            edges.add((u, v))
+        object.__setattr__(self, "edges", frozenset(edges))
         if not edges:
             raise ParameterError(f"motif {self.id}: edge set must be nonempty")
-        if min(u for u, _ in edges) < 0:
-            raise ParameterError(f"motif {self.id}: node ids must be nonnegative")
         if not is_connected(edges):
             raise ParameterError(f"motif {self.id}: edge set must be connected")
         if self.class_sign not in (None, -1, 1):
             raise ParameterError(f"motif {self.id}: class_sign must be -1, +1 or None")
+
+    @classmethod
+    def _trusted(cls, id: int, edges: frozenset[Edge],
+                 class_sign: int | None = None) -> "Motif":
+        """Motif of a nonempty, connected frozenset of canonical edges
+        that the program built itself, skipping __post_init__."""
+        m = object.__new__(cls)
+        m.__dict__.update(id=id, edges=edges, class_sign=class_sign)
+        return m
 
     def max_node(self) -> int:
         return max(v for _, v in self.edges)
@@ -263,7 +292,8 @@ class InjectionRecord:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        mat = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        mat = tuple(tuple(_as_int(x, "injection entry") for x in row)
+                    for row in self.matrix)
         widths = {len(row) for row in mat}
         if len(widths) > 1:
             raise ParameterError("injection matrix must be rectangular")
@@ -315,7 +345,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "graphs", tuple(self.graphs))
-        object.__setattr__(self, "labels", tuple(int(x) for x in self.labels))
+        object.__setattr__(self, "labels", tuple(_as_int(x, "label") for x in self.labels))
         if len(self.graphs) != len(self.labels):
             raise ParameterError("graphs and labels must have equal length")
         for g in self.graphs:
@@ -441,11 +471,11 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
 def load_dataset(path: str | os.PathLike) -> LabeledDataset:
     doc = _read_json(path)
     try:
-        n = int(doc["n"])
+        n = _as_int(doc["n"], "node count")
         graphs = []
         labels = []
         for entry in doc["graphs"]:
-            labels.append(int(entry["label"]))
+            labels.append(entry["label"])
             graphs.append(Graph.from_edges(n, entry["edges"]))
         return LabeledDataset(n, tuple(graphs), tuple(labels), doc.get("injections"))
     except (KeyError, TypeError, ValueError, IndexError, ParameterError) as exc:
@@ -471,20 +501,24 @@ def save_dataset(d: LabeledDataset, path: str | os.PathLike) -> None:
 
 def _motif_from_entry(n: int, entry: Mapping) -> Motif:
     cls = entry.get("class")
-    sign = None if cls is None else (1 if int(cls) == 1 else -1)
-    lo, hi, _ = _node_pairs(entry["edges"], n)
-    # the set is built edge by edge in file order, which fixes the
-    # iteration order of the motif's edge frozenset (see GroundTruthScorer)
-    return Motif(int(entry["id"]), frozenset(set(zip(lo.tolist(), hi.tolist()))), sign)
+    if cls is not None and _as_int(cls, "motif class") not in (0, 1):
+        raise ParameterError(f"motif class {cls} is not 0 or 1")
+    m = Motif(_as_int(entry["id"], "motif id"), ((e[0], e[1]) for e in entry["edges"]),
+              None if cls is None else 2 * cls - 1)
+    if m.max_node() >= n:
+        e = min(e for e in m.edges if e[1] >= n)
+        raise UniverseMismatchError(f"edge {e} outside node universe [0, {n})")
+    return m
 
 
 def load_motifs(path: str | os.PathLike) -> tuple[int, list[Motif]]:
     """Load a motif file; returns (n, motifs)."""
     doc = _read_json(path)
     try:
-        n = int(doc["n"])
+        n = _as_int(doc["n"], "node count")
         return n, [_motif_from_entry(n, entry) for entry in doc["motifs"]]
-    except (KeyError, TypeError, ValueError, IndexError, ParameterError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError,
+            ParameterError) as exc:
         raise InputFormatError(f"{path}: malformed motif file: {exc}") from exc
 
 
@@ -510,6 +544,6 @@ def save_motifs(n: int, motifs: Sequence[Motif], path: str | os.PathLike,
 def load_graph_file(path: str | os.PathLike) -> Graph:
     doc = _read_json(path)
     try:
-        return Graph.from_edges(int(doc["n"]), doc["edges"])
+        return Graph.from_edges(_as_int(doc["n"], "node count"), doc["edges"])
     except (KeyError, TypeError, ValueError, IndexError, ParameterError) as exc:
         raise InputFormatError(f"{path}: malformed graph file: {exc}") from exc

@@ -114,7 +114,7 @@ def mine(d: LabeledDataset, cfg: MinerConfig) -> list[Motif]:
         level = nxt
 
     out = sorted(mined, key=lambda es: (len(es), sorted(es)))
-    return [Motif(i, es) for i, es in enumerate(out)]
+    return [Motif._trusted(i, es) for i, es in enumerate(out)]
 
 
 def cross_support(m: Motif, d: LabeledDataset) -> float:

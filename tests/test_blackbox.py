@@ -10,12 +10,15 @@ from motifshap import (
     GroundTruthScorer,
     LabeledDataset,
     LinearSurrogate,
+    MaskingStrategy,
     Motif,
     SynthConfig,
     TrainConfig,
     UniverseMismatchError,
     accuracy,
     generate,
+    load_motifs,
+    save_motifs,
     train_linear_surrogate,
 )
 from motifshap.blackbox import _feature_matrix, sigmoid
@@ -85,6 +88,33 @@ def test_scorer_validation():
     bb = GroundTruthScorer(4, [TRIANGLE], [1.0])
     with pytest.raises(UniverseMismatchError):
         bb.evaluate(Graph.from_edges(5, []))
+
+
+def test_scorer_equal_motifs_score_equally(tmp_path):
+    # the weighted overlap must not depend on the order in which a
+    # motif's edge frozenset iterates, which follows how it was built:
+    # from reordered edges, or read back from a motif file
+    n = 24
+    path = tmp_path / "motifs.json"
+    for seed in range(20):
+        rng = philox(900 + seed)
+        motifs = random_motif_set(n, 3, int(rng.integers(10, 40)), rng)
+        save_motifs(n, motifs, path)
+        twins = [load_motifs(path)[1]]
+        for _ in range(4):
+            orders = [rng.permutation(len(m.edges)) for m in motifs]
+            twins.append([Motif(m.id, [m.sorted_edges()[i] for i in order], m.class_sign)
+                          for m, order in zip(motifs, orders)])
+        background = LabeledDataset(n, tuple(random_graph(n, 0.3, rng) for _ in range(7)),
+                                    (0, 1) * 3 + (0,))
+        graphs = [random_weighted_graph(n, 0.9, rng),
+                  MaskingStrategy.average(background).mask(random_graph(n, 0.3, rng), motifs)]
+        for k, m in enumerate(motifs):
+            assert all(twin[k] == m for twin in twins)
+            scorers = [GroundTruthScorer(n, [x], [1.0]) for x in (m, *(t[k] for t in twins))]
+            for g in graphs:
+                values = [bb.evaluate(g) for bb in scorers]
+                assert values[1:] == values[:1] * len(twins)
 
 
 def test_evaluate_batch_matches_elementwise():

@@ -273,6 +273,8 @@ def test_serve_empty_input_returns_quietly():
     '{"id": 0, "n": 4, "edges": [[0, 1]]}',
     '{"id": 0, "n": 4, "edges": [[0, 1, [0.5]]]}',
     '{"id": 0, "n": 4, "edges": [[0, 1, 1.0], [true, 2, 1.0]]}',
+    '{"id": 0, "n": 4.5, "edges": [[0, 1, 1.0]]}',
+    '{"id": 0, "n": 5.5, "edges": [[0, 1, 1.0]]}',
 ])
 def test_serve_rejects_invalid_wire_graph(request_line):
     bb = GroundTruthScorer(4, [Motif(0, frozenset({(0, 1)}), 1)], [1.0])

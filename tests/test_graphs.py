@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from motifshap import (
@@ -143,6 +144,11 @@ def test_motif_requires_connected_nonempty_edges():
         Motif(3, frozenset({(0, 1)}), class_sign=2)
     with pytest.raises(ParameterError):
         Motif(4, frozenset({(-1, 2), (2, 3)}))
+    for u in (1.7, 1.0, "3", True):
+        with pytest.raises(ParameterError, match="node id must be an integer"):
+            Motif(5, [(0, 2), (2, u)])
+    m = Motif(6, [(np.int64(2), np.int32(1))])
+    assert m.edges == frozenset({(1, 2)}) and type(m.max_node()) is int
 
 
 def test_jaccard_distance_basic():
@@ -337,6 +343,11 @@ def test_graph_file_roundtrip(tmp_path):
     '{"n": 4, "graphs": [{"label": 0, "edges": [[0, 1.0]]}]}',
     '{"n": 4, "graphs": [{"label": 0, "edges": [[2, "3"]]}]}',
     '{"n": 4, "graphs": [{"label": 0, "edges": [[0, 1], [true, 2]]}]}',
+    '{"n": 3, "graphs": [{"label": 1.9, "edges": []}]}',
+    '{"n": 3, "graphs": [{"label": "1", "edges": []}]}',
+    '{"n": 3, "graphs": [{"label": 0, "edges": []}], "injections": [[0.7]]}',
+    '{"n": 3, "graphs": [{"label": 0, "edges": []}], "injections": [[-1.2]]}',
+    '{"n": 3.5, "graphs": [{"label": 0, "edges": [[0, 1]]}]}',
 ])
 def test_malformed_dataset_raises_input_format_error(tmp_path, doc):
     path = tmp_path / "bad.json"
@@ -354,6 +365,14 @@ def test_malformed_dataset_raises_input_format_error(tmp_path, doc):
     '{"n": 3, "motifs": [{"id": 0, "edges": [[0, 1.7]]}]}',
     '{"n": 3, "motifs": [{"id": 0, "edges": [[0, "1"]]}]}',
     '{"n": 3, "motifs": [{"id": 0, "edges": [[-1, 1]]}]}',
+    '{"n": 3, "motifs": [{"id": 0, "class": 5, "edges": [[0, 1]]}]}',
+    '{"n": 3, "motifs": [{"id": 0, "class": 0.9, "edges": [[0, 1]]}]}',
+    '{"n": 3, "motifs": [{"id": 2.7, "edges": [[0, 1]]}]}',
+    '{"n": 3, "motifs": [{"id": "3", "edges": [[0, 1]]}]}',
+    '{"n": 5.9, "motifs": [{"id": 0, "edges": [[0, 1]]}]}',
+    '{"n": 3, "motifs": [{"id": 0, "edges": [[0, 1], [true, 2]]}]}',
+    '{"n": 3, "motifs": [{"id": 0, "edges": [[0, 7]]}]}',
+    '{"n": 3, "motifs": [[0, 1]]}',
 ])
 def test_malformed_motif_file_raises_input_format_error(tmp_path, doc):
     path = tmp_path / "bad.json"
@@ -371,6 +390,7 @@ def test_malformed_motif_file_raises_input_format_error(tmp_path, doc):
     '{"n": 4, "edges": [[0, 1.0]]}',
     '{"n": 4, "edges": [[0, 1], [true, 2]]}',
     '{"n": -4, "edges": []}',
+    '{"n": 3.5, "edges": [[0, 1]]}',
 ])
 def test_malformed_graph_file_raises_input_format_error(tmp_path, doc):
     path = tmp_path / "bad.json"
