@@ -208,14 +208,13 @@ def _request_line(rid: int, g: Graph) -> bytes:
     """The request for g, byte for byte json.dumps({"id": rid, "n": g.n,
     "edges": [[u, v, g.weight((u, v))] for (u, v) in sorted(g.edges)]},
     separators=(",", ":")) plus a newline. Ascending (u, v) is pair_index
-    order, so the edges come straight from the edge bits; only weights
-    other than 1.0 are formatted, as json formats floats."""
+    order, so the edges come straight from the edge bits; only the listed
+    weights, none of them 1.0, are formatted, as json formats floats."""
     frags = _wire_fragments(g.n)
     idx = np.flatnonzero(unpack_edges(g.edge_bits, g.n)).tolist()
     parts = [frags[i] for i in idx]
     for (u, v), w in (g.weights or {}).items():
-        if w != 1.0:
-            parts[bisect_left(idx, pair_index(u, v, g.n))] = f"[{u},{v},{float(w)!r}]"
+        parts[bisect_left(idx, pair_index(u, v, g.n))] = f"[{u},{v},{float(w)!r}]"
     return f'{{"id":{rid},"n":{g.n},"edges":[{",".join(parts)}]}}\n'.encode("ascii")
 
 

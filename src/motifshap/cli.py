@@ -54,6 +54,7 @@ from .graphs import (
     Graph,
     LabeledDataset,
     Motif,
+    _as_int,
     _read_json,
     atomic_write_text,
     dataset_to_json,
@@ -140,13 +141,14 @@ def _load_correlation(spec: str, n_m: int) -> tuple[tuple[float, ...], ...] | No
         return None
     doc = _read_json(spec)
     try:
-        file_n_m = int(doc["n_m"])
+        file_n_m = _as_int(doc["n_m"], "n_m")
         entries = doc["entries"]
         mat = [[0.0] * file_n_m for _ in range(file_n_m)]
         for i in range(file_n_m):
             mat[i][i] = 1.0
         for item in entries:
-            i, j, c = int(item[0]), int(item[1]), float(item[2])
+            i, j = _as_int(item[0], "entry index"), _as_int(item[1], "entry index")
+            c = float(item[2])
             if not 0 <= i < file_n_m or not 0 <= j < file_n_m:
                 raise ValueError(f"entry ({i}, {j}) out of range")
             if not 0.0 <= c <= 1.0:
@@ -155,7 +157,7 @@ def _load_correlation(spec: str, n_m: int) -> tuple[tuple[float, ...], ...] | No
             mat[j][i] = c
         for i in range(file_n_m):
             mat[i][i] = 1.0
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, ParameterError) as exc:
         raise InputFormatError(f"{spec}: malformed correlation file: {exc}") from exc
     if file_n_m != n_m:
         raise ParameterError(
@@ -226,18 +228,31 @@ def _strategy(kind: str, dataset: LabeledDataset | None) -> MaskingStrategy:
     return MaskingStrategy.average(dataset)
 
 
+def _check_depth(d: int, n_motifs: int) -> int:
+    if not 1 <= d <= n_motifs:
+        raise ParameterError(f"depth {d} out of range [1, {n_motifs}]")
+    return d
+
+
+def _parse_depth(text: str, n_motifs: int) -> int | str:
+    """--depth as "exact" or an approximation depth in [1, n_motifs]."""
+    if text == "exact":
+        return text
+    try:
+        d = int(text)
+    except ValueError as exc:
+        raise ParameterError(f"--depth must be 'exact' or an integer, got {text!r}") from exc
+    return _check_depth(d, n_motifs)
+
+
 def _explain_graph(g: Graph, graph_id: int, bb: BlackBox,
                    motifs: Sequence[Motif], strategy: MaskingStrategy,
-                   weighting: WeightingScheme, depth: str,
+                   weighting: WeightingScheme, depth: int | str,
                    normalize: bool, exact_limit: int) -> Explanation:
     if depth == "exact":
         return exact_explain(g, bb, motifs, strategy, weighting,
                              graph_id=graph_id, exact_limit=exact_limit)
-    try:
-        d = int(depth)
-    except ValueError as exc:
-        raise ParameterError(f"--depth must be 'exact' or an integer, got {depth!r}") from exc
-    return approx_explain(g, bb, motifs, strategy, weighting, depth=d,
+    return approx_explain(g, bb, motifs, strategy, weighting, depth=depth,
                           graph_id=graph_id, normalize=normalize)
 
 
@@ -321,6 +336,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     strategy = _strategy(args.mask, dataset)
     weighting = _WEIGHT_CHOICES[args.weights]()
+    depth = _parse_depth(args.depth, len(motifs))
     bb = _build_blackbox(args, n, motifs, inputs)
     try:
         if args.graph == "all":
@@ -329,7 +345,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             docs = []
             for i, g in enumerate(dataset.graphs):
                 ex = _explain_graph(g, i, bb, motifs, strategy, weighting,
-                                    args.depth, args.normalize, args.exact_limit)
+                                    depth, args.normalize, args.exact_limit)
                 docs.append(_explanation_doc(ex))
             payload = json.dumps(docs, separators=(",", ":"))
         else:
@@ -351,7 +367,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                     raise ParameterError(
                         f"graph file over {g.n} nodes, motifs over {n}")
             ex = _explain_graph(g, gid, bb, motifs, strategy, weighting,
-                                args.depth, args.normalize, args.exact_limit)
+                                depth, args.normalize, args.exact_limit)
             payload = json.dumps(_explanation_doc(ex), separators=(",", ":"))
     finally:
         _close_blackbox(bb)
@@ -422,8 +438,7 @@ def _cmd_eval_approx_corr(args: argparse.Namespace) -> int:
     if not depths:
         raise ParameterError("depth list is empty")
     for d in depths:
-        if not 1 <= d <= len(motifs):
-            raise ParameterError(f"depth {d} out of range [1, {len(motifs)}]")
+        _check_depth(d, len(motifs))
 
     strategy = _strategy(args.mask, dataset)
     weighting = _WEIGHT_CHOICES[args.weights]()
@@ -477,6 +492,7 @@ def _cmd_eval_global(args: argparse.Namespace) -> int:
         raise ParameterError(f"motif file over {n} nodes, dataset over {dataset.n}")
     strategy = _strategy(args.mask, dataset)
     weighting = _WEIGHT_CHOICES[args.weights]()
+    depth = _parse_depth(args.depth, len(motifs))
     inputs = [args.dataset, args.motifs]
     bb = _build_blackbox(args, n, motifs, inputs)
     explanations = []
@@ -484,7 +500,7 @@ def _cmd_eval_global(args: argparse.Namespace) -> int:
         for i in _select_graph_indices(dataset, args.limit):
             explanations.append(
                 _explain_graph(dataset.graphs[i], i, bb, motifs, strategy,
-                               weighting, args.depth, False, args.exact_limit))
+                               weighting, depth, False, args.exact_limit))
     finally:
         _close_blackbox(bb)
 

@@ -34,7 +34,7 @@ from .errors import (
     ParameterError,
     UniverseMismatchError,
 )
-from .graphs import Graph, Motif, unpack_edges, weight_vector
+from .graphs import Graph, Motif
 from .masking import MaskingStrategy
 
 #: Largest motif set exact_explain will enumerate (2^20 coalitions).
@@ -145,12 +145,8 @@ def query_budget(n_motifs: int, depth: int | str) -> int:
 
 def _graph_key(g: Graph):
     """Content key of a masked graph: its edge bits, plus, when it is
-    weighted, the bytes of its edge weights in pair_index order."""
-    if g.weights is None:
-        return g.edge_bits
-    values = weight_vector(g)[unpack_edges(g.edge_bits, g.n).view(bool)]
-    # + 0.0 turns -0.0 into 0.0, which compares equal to it
-    return g.edge_bits, (values + 0.0).tobytes()
+    weighted, its weights (which list only weights other than 1.0)."""
+    return g.edge_bits if g.weights is None else (g.edge_bits, frozenset(g.weights.items()))
 
 
 def _check_motifs(g: Graph, motifs: Sequence[Motif]) -> None:

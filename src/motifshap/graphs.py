@@ -8,7 +8,8 @@ graph holds its edge set as one integer, edge_bits, whose bit i is set
 when the pair with pair_index i is an edge: masks are integer AND-NOT,
 XOR and OR, and intersections and unions are popcounts. The frozenset of
 (u, v) tuples is derived from the bits only when it is read. Edge lists
-from callers and files are validated in one numpy pass and packed.
+from callers and files are validated in one numpy pass and packed. A
+graph lists only its weights other than 1.0, so 1.0 means unweighted.
 
 Motifs stay frozensets of canonical (u, v) tuples. The Motif constructor
 is their one validator; the file reader checks only what a file adds, and
@@ -129,10 +130,11 @@ class Graph:
     """Simple undirected graph on nodes 0..n-1, optionally edge-weighted.
 
     The edge set is edge_bits (bit i set: the pair with pair_index i is an
-    edge); edges and sorted_edges() are derived from it. Unweighted graphs
-    are equivalent to weight 1.0 on every edge; weights, when present, map
-    a subset of the edges, as (u, v) tuples with u < v, to values in
-    [0, 1]. Instances are immutable.
+    edge); edges and sorted_edges() are derived from it. weights maps the
+    edges whose weight is not 1.0, as (u, v) tuples with u < v, to values
+    in [0, 1], and is None when there are none. The constructor validates
+    every weight it is given and drops the 1.0 entries, so listing every
+    weight as 1.0 gives the unweighted graph. Instances are immutable.
     """
 
     n: int
@@ -151,20 +153,20 @@ class Graph:
                         f"weighted edge {(u, v)} is not listed in the edge set")
                 if not 0.0 <= x <= 1.0:
                     raise ParameterError(f"edge weight {x} outside [0, 1]")
+            weights = {e: x for e, x in weights.items() if x != 1.0} or None
         self.__dict__.update(n=n, edge_bits=bits, weights=weights)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]],
                    weights: Mapping[Edge, float] | None = None) -> "Graph":
-        """Graph from any iterable of node pairs; the constructor
-        validates them."""
+        """Graph from any iterable of node pairs, as the constructor."""
         return cls(n, edges, weights)
 
     @classmethod
     def _trusted(cls, n: int, edge_bits: int | tuple[np.ndarray, np.ndarray],
                  weights: dict[Edge, float] | None = None) -> "Graph":
-        """Graph from valid parts, unchecked: weights in [0, 1] on edges
-        only; edge_bits packed, or node columns from _node_pairs that are
+        """Graph from valid parts, unchecked: weights in [0, 1) on edges
+        only, or None; edge_bits packed, or node columns from _node_pairs that are
         packed on first read, so that a wire request over a huge universe
         allocates nothing n-sized before the black box has checked n."""
         g = object.__new__(cls)
@@ -197,17 +199,14 @@ class Graph:
         u, v = e
         if not (0 <= u < v < self.n and self.edge_bits >> pair_index(u, v, self.n) & 1):
             return 0.0
-        if self.weights is None:
-            return 1.0
-        return self.weights.get((u, v), 1.0)
+        return (self.weights or {}).get((u, v), 1.0)
 
 
 def weight_vector(g: Graph) -> np.ndarray:
     """g.weight of every node pair of its universe, in pair_index order."""
     x = unpack_edges(g.edge_bits, g.n).astype(np.float64)
     for (u, v), w in (g.weights or {}).items():
-        if w != 1.0:
-            x[pair_index(u, v, g.n)] = w
+        x[pair_index(u, v, g.n)] = w
     return x
 
 
@@ -344,6 +343,8 @@ class LabeledDataset:
     injections: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ParameterError("node count must be nonnegative")
         object.__setattr__(self, "graphs", tuple(self.graphs))
         object.__setattr__(self, "labels", tuple(_as_int(x, "label") for x in self.labels))
         if len(self.graphs) != len(self.labels):
@@ -516,6 +517,8 @@ def load_motifs(path: str | os.PathLike) -> tuple[int, list[Motif]]:
     doc = _read_json(path)
     try:
         n = _as_int(doc["n"], "node count")
+        if n < 0:
+            raise ParameterError("node count must be nonnegative")
         return n, [_motif_from_entry(n, entry) for entry in doc["motifs"]]
     except (AttributeError, KeyError, TypeError, ValueError, IndexError,
             ParameterError) as exc:

@@ -11,7 +11,8 @@ Three strategies are provided:
   graph's own weight.
 
 Remove and toggle emit unweighted graphs. Average emits a weighted graph
-and therefore requires a black box that accepts edge weights.
+and therefore requires a black box that accepts edge weights; like every
+Graph, it lists only its weights other than 1.0.
 
 Masked graphs are built from the already valid input graph and motifs
 without re-validation, as integer operations on the edge bits: AND-NOT
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import ConfigurationError, UniverseMismatchError
-from .graphs import Graph, LabeledDataset, Motif, edge_frequency, pack_edges
+from .graphs import Graph, LabeledDataset, Motif, edge_frequency, pack_edges, pair_index
 
 
 @dataclass(frozen=True)
@@ -56,21 +57,30 @@ class MaskingStrategy:
         if self.kind == "average" and self.background is None:
             raise ConfigurationError("average masking needs a background dataset")
 
-    def _motif_bits(self, m: Motif, n: int) -> int:
-        bits = self._bits_cache.get((m, n))
-        if bits is None:
-            bits = self._bits_cache[m, n] = pack_edges(m.edges, n)
-        return bits
+    def _motif_bits(self, m: Motif, n: int) -> tuple[int, dict]:
+        """m's edge bits over n nodes and, for average, its edge frequencies other than 1.0."""
+        # keyed by the edge set, whose hash the frozenset caches, not by the
+        # Motif, whose dataclass hash is recomputed on every lookup
+        entry = self._bits_cache.get((m.edges, n))
+        if entry is None:
+            freqs = {e: f for e in m.edges if self.kind == "average"
+                     and (f := edge_frequency(self.background, e)) != 1.0}
+            entry = self._bits_cache[m.edges, n] = pack_edges(m.edges, n), freqs
+        return entry
 
     def mask(self, g: Graph, motifs: Iterable[Motif]) -> Graph:
         """Graph presented to the black box when the given motifs are
         masked in g. An empty motif collection returns g itself for the
-        unweighted strategies; average still normalizes the output to its
-        weighted form so that coalition values stay comparable."""
+        unweighted strategies."""
         motifs = tuple(motifs)
-        union_bits = 0
+        if self.kind == "average" and self.background.n != g.n:
+            raise UniverseMismatchError(
+                f"background over {self.background.n} nodes, graph over {g.n}")
+        union_bits, weights = 0, {}
         for m in motifs:
-            union_bits |= self._motif_bits(m, g.n)
+            bits, freqs = self._motif_bits(m, g.n)
+            union_bits |= bits
+            weights.update(freqs)
 
         if self.kind != "average":
             if not motifs and g.weights is None:
@@ -79,16 +89,8 @@ class MaskingStrategy:
                 return Graph._trusted(g.n, g.edge_bits & ~union_bits)
             return Graph._trusted(g.n, g.edge_bits ^ union_bits)
 
-        # average: union edges are always present, carrying their
-        # background frequency (possibly 0.0); other edges keep the
-        # weight they have in g.
-        if self.background.n != g.n:
-            raise UniverseMismatchError(
-                f"background over {self.background.n} nodes, graph over {g.n}")
-        weights = dict.fromkeys(g.edges, 1.0)
-        if g.weights is not None:
-            weights.update(g.weights)
-        for m in motifs:
-            for e in m.edges:
-                weights[e] = edge_frequency(self.background, e)
-        return Graph._trusted(g.n, g.edge_bits | union_bits, weights)
+        # average: union edges are present at their background frequency
+        # (possibly 0.0); other edges keep the weight they have in g
+        weights.update((e, w) for e, w in (g.weights or {}).items()
+                       if not union_bits >> pair_index(*e, g.n) & 1)
+        return Graph._trusted(g.n, g.edge_bits | union_bits, weights or None)

@@ -108,6 +108,22 @@ def test_synth_with_correlation_file(tmp_path):
     assert str(corr_path) in manifest["inputs"]
 
 
+@pytest.mark.parametrize("corr", [
+    {"n_m": 2.7, "entries": [[0.9, 1, 0.5]]},
+    {"n_m": 2, "entries": [[0.9, 1, 0.5]]},
+    {"n_m": 2, "entries": [[0, "1", 0.5]]},
+])
+def test_synth_correlation_file_needs_integers(tmp_path, capsys, corr):
+    corr_path = tmp_path / "corr.json"
+    corr_path.write_text(json.dumps(corr))
+    args = _synth_args(tmp_path) + ["--corr", str(corr_path)]
+    args[args.index("--motifs") + 1] = "2"
+    args[args.index("--rho") + 1] = "0.2,0.6"
+    assert run(args) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "InputFormatError"
+    assert not (tmp_path / "data.json").exists()
+
+
 def test_mine_and_rank_roundtrip(synth_files, tmp_path):
     data_path, _ = synth_files
     mined_path = tmp_path / "mined.json"
@@ -221,6 +237,37 @@ def test_explain_lattice_guardrail(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "LatticeTooLargeError"
+
+
+@pytest.mark.parametrize("depth", ["foo", "0", "4"])
+@pytest.mark.parametrize("command", [["explain", "--graph", "all"], ["eval", "global"]])
+def test_depth_is_checked_before_the_blackbox_is_built(synth_files, tmp_path, capsys,
+                                                       monkeypatch, command, depth):
+    data_path, motif_path = synth_files
+    out = tmp_path / "x.json"
+    args = command + ["--motifs", str(motif_path), "--dataset", str(data_path),
+                      "--depth", depth, "--out", str(out)]
+    # a command that cannot start would exit 4 if the black box came first
+    missing = ["--blackbox", "external", "--external-cmd", str(tmp_path / "missing")]
+    assert run(args + missing) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+    # and no surrogate is trained for a run that cannot go on
+    monkeypatch.setattr(motifshap.cli, "train_linear_surrogate",
+                        lambda *a, **k: pytest.fail("surrogate trained"))
+    assert run(args + ["--blackbox", "surrogate"]) == 2
+    capsys.readouterr()
+    assert not out.exists()
+
+
+def test_depth_is_recorded_as_given(synth_files, tmp_path):
+    data_path, motif_path = synth_files
+    out = tmp_path / "ex.json"
+    assert run(["explain", "--motifs", str(motif_path), "--dataset", str(data_path),
+                "--graph", "0", "--depth", "2", "--rho", "0.2,0.6,1.0",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["depth"] == 2
+    manifest = json.loads((tmp_path / "ex.json.manifest.json").read_text())
+    assert manifest["config"]["depth"] == "2"
 
 
 def test_malformed_dataset_exits_3(tmp_path, capsys):

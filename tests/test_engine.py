@@ -421,13 +421,17 @@ def test_depth_one_beyond_63_motifs():
 
 
 def test_scorer_popcount_equals_unit_weights():
+    # a Graph drops weights of 1.0, so the weighted branch is reached by
+    # weighting one edge outside every motif: each motif's edges still
+    # weigh 1.0 or 0.0
     for seed in range(10):
         g, bb, motifs = _instance(600 + seed)
-        unit = Graph(g.n, g.edges, dict.fromkeys(g.edges, 1.0))
-        assert bb.evaluate(g) == bb.evaluate(unit)
-        for strat in (MaskingStrategy.remove(), MaskingStrategy.toggle()):
-            h = strat.mask(g, motifs[:2])
-            assert bb.evaluate(h) == bb.evaluate(Graph(h.n, h.edges, dict.fromkeys(h.edges, 1.0)))
+        on_motifs = set().union(*(m.edges for m in motifs))
+        for h in (g, *(strat.mask(g, motifs[:2]) for strat in
+                       (MaskingStrategy.remove(), MaskingStrategy.toggle()))):
+            weighted = Graph(h.n, h.edges, {min(h.edges - on_motifs): 0.5})
+            assert weighted.weights is not None
+            assert bb.evaluate(h) == bb.evaluate(weighted)
 
 
 def test_explain_depths_reuses_the_exact_lattice():

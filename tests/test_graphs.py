@@ -86,6 +86,9 @@ def test_weight_of_a_non_canonical_key_is_zero():
 def test_weight_validation():
     with pytest.raises(ParameterError):
         Graph(4, frozenset({(0, 1)}), {(2, 3): 0.5})
+    # weight 1.0 is dropped, but only after it is validated
+    with pytest.raises(ParameterError):
+        Graph(4, frozenset({(0, 1)}), {(2, 3): 1.0})
     with pytest.raises(ParameterError):
         Graph(4, frozenset({(0, 1)}), {(0, 1): 1.5})
     with pytest.raises(ParameterError):
@@ -106,9 +109,11 @@ def test_graph_equality_and_hash_agree_across_constructors(tmp_path):
         [Motif(0, frozenset({(0, 5), (3, 5)})), Motif(1, frozenset({(1, 4)}))])
     wire = _parse_wire_graph({"n": n, "edges": [[u, v, 1.0] for v, u in edges]})
     built = [Graph(n, frozenset(edges)), Graph.from_edges(n, reversed(edges)),
-             toggled, load_graph_file(path), wire]
+             toggled, load_graph_file(path), wire,
+             Graph(n, edges, dict.fromkeys(edges, 1.0))]
     for g in built:
         assert g == built[0]
+        assert g.weights is None
         assert hash(g) == hash(built[0])
         assert g.edges == frozenset(edges)
         assert g.sorted_edges() == sorted(edges)
@@ -348,6 +353,7 @@ def test_graph_file_roundtrip(tmp_path):
     '{"n": 3, "graphs": [{"label": 0, "edges": []}], "injections": [[0.7]]}',
     '{"n": 3, "graphs": [{"label": 0, "edges": []}], "injections": [[-1.2]]}',
     '{"n": 3.5, "graphs": [{"label": 0, "edges": [[0, 1]]}]}',
+    '{"n": -4, "graphs": []}',
 ])
 def test_malformed_dataset_raises_input_format_error(tmp_path, doc):
     path = tmp_path / "bad.json"
@@ -373,6 +379,7 @@ def test_malformed_dataset_raises_input_format_error(tmp_path, doc):
     '{"n": 3, "motifs": [{"id": 0, "edges": [[0, 1], [true, 2]]}]}',
     '{"n": 3, "motifs": [{"id": 0, "edges": [[0, 7]]}]}',
     '{"n": 3, "motifs": [[0, 1]]}',
+    '{"n": -4, "motifs": []}',
 ])
 def test_malformed_motif_file_raises_input_format_error(tmp_path, doc):
     path = tmp_path / "bad.json"
@@ -406,6 +413,18 @@ def test_first_offending_edge_is_reported():
         Graph.from_edges(4, [(0, 1), (2, 2), (5, 1)])
     with pytest.raises(ParameterError, match="node ids must be integers"):
         Graph.from_edges(4, [(0, 1), (2, 2.0)])
+
+
+def test_negative_node_count_is_rejected_without_graphs(tmp_path):
+    path = tmp_path / "empty.json"
+    for doc, load in (({"n": -4, "graphs": []}, load_dataset),
+                      ({"n": -4, "motifs": []}, load_motifs),
+                      ({"n": -4, "edges": []}, load_graph_file)):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputFormatError, match="node count must be nonnegative"):
+            load(path)
+    with pytest.raises(ParameterError, match="node count must be nonnegative"):
+        LabeledDataset(-4, (), ())
 
 
 def test_missing_file_raises_input_format_error(tmp_path):

@@ -125,6 +125,28 @@ def test_average_empty_coalition_keeps_weights():
         assert out.weight(e) == 1.0
 
 
+def test_average_lists_only_weights_other_than_one():
+    """The output's weights are the union edges' background frequencies
+    other than 1.0 and the input's own weights off the union; an input
+    weight on a union edge whose frequency is 1.0 disappears."""
+    background = LabeledDataset(6, (
+        Graph.from_edges(6, [(0, 1), (1, 2)]),
+        Graph.from_edges(6, [(0, 1)]),
+        Graph.from_edges(6, [(0, 1), (2, 3)]),
+        Graph.from_edges(6, [(0, 1), (4, 5)]),
+    ), (0, 0, 1, 1))
+    strat = MaskingStrategy.average(background)
+    g = Graph(6, G.edges, {(0, 1): 0.3, (1, 2): 0.6, (2, 3): 0.4})
+    out = strat.mask(g, [Motif(0, frozenset({(0, 1), (1, 2), (0, 5)}))])
+    assert out.weights == {(1, 2): 0.25, (0, 5): 0.0, (2, 3): 0.4}
+    assert out.edges == G.edges | {(0, 5)}
+    assert out.weight((0, 1)) == 1.0
+    # every weight of the output is 1.0: it equals the unweighted graph
+    out = strat.mask(G, [Motif(1, frozenset({(0, 1)}))])
+    assert out.weights is None
+    assert out == G
+
+
 def test_average_needs_nonempty_background():
     with pytest.raises(ConfigurationError):
         MaskingStrategy.average(LabeledDataset(4, (), ()))
