@@ -64,13 +64,24 @@ def sigmoid(x: float) -> float:
 
 class BlackBox:
     """Base contract: deterministic evaluate(g) in [0,1] plus a batch
-    entry point the lattice engine calls with deduplicated graphs."""
+    entry point the lattice engine calls with deduplicated graphs. Every
+    black box is a context manager whose exit calls close(), which frees
+    what it holds: nothing here, the child process of ExternalBlackBox."""
 
     def evaluate(self, g: Graph) -> float:
         raise NotImplementedError
 
     def evaluate_batch(self, graphs: Sequence[Graph]) -> list[float]:
         return [self.evaluate(g) for g in graphs]
+
+    def close(self) -> None:
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 class GroundTruthScorer(BlackBox):
@@ -324,12 +335,6 @@ class ExternalBlackBox(BlackBox):
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
-
-    def __enter__(self) -> "ExternalBlackBox":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def _parse_wire_graph(obj: dict) -> Graph:

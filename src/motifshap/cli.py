@@ -25,7 +25,7 @@ import shlex
 import statistics
 import sys
 from datetime import datetime, timezone
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import __version__
 from .blackbox import (
@@ -40,6 +40,7 @@ from .engine import (
     DEFAULT_EXACT_LIMIT,
     Explanation,
     WeightingScheme,
+    _check_exact_limit,
     approx_explain,
     exact_explain,
     explain_depths,
@@ -52,7 +53,6 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    LabeledDataset,
     Motif,
     _as_int,
     _read_json,
@@ -144,8 +144,6 @@ def _load_correlation(spec: str, n_m: int) -> tuple[tuple[float, ...], ...] | No
         file_n_m = _as_int(doc["n_m"], "n_m")
         entries = doc["entries"]
         mat = [[0.0] * file_n_m for _ in range(file_n_m)]
-        for i in range(file_n_m):
-            mat[i][i] = 1.0
         for item in entries:
             i, j = _as_int(item[0], "entry index"), _as_int(item[1], "entry index")
             c = float(item[2])
@@ -213,47 +211,93 @@ def _build_blackbox(args: argparse.Namespace, n: int, motifs: Sequence[Motif],
     return ExternalBlackBox(command, timeout=args.timeout)
 
 
-def _close_blackbox(bb: BlackBox) -> None:
-    if isinstance(bb, ExternalBlackBox):
-        bb.close()
+class _ExplainJob(NamedTuple):
+    """What an explaining command has read and checked before its black box exists."""
+
+    n: int
+    motifs: list[Motif]
+    graphs: list[tuple[int, Graph]]
+    depths: list
+    strategy: MaskingStrategy
+    weighting: WeightingScheme
+    inputs: list[str]
 
 
-def _strategy(kind: str, dataset: LabeledDataset | None) -> MaskingStrategy:
-    if kind == "remove":
-        return MaskingStrategy.remove()
-    if kind == "toggle":
-        return MaskingStrategy.toggle()
-    if dataset is None:
+def _explain_job(args: argparse.Namespace, depths: str | None) -> _ExplainJob:
+    """Load and check all that explain, eval approx-corr and eval global need,
+    so that no black box is built, spawned or trained for a run that cannot
+    go on. depths is eval approx-corr's --depths list, all read from one exact
+    lattice; None reads --depth. --graph picks the (graph_id, Graph) pairs to
+    explain; eval takes the first --limit graphs of the dataset."""
+    dataset = load_dataset(args.dataset) if args.dataset is not None else None
+    n, motifs = load_motifs(args.motifs)
+    inputs = [p for p in (args.dataset, args.motifs) if p is not None]
+    if dataset is not None and dataset.n != n:
+        raise ParameterError(f"motif file over {n} nodes, dataset over {dataset.n}")
+    if args.mask == "average" and dataset is None:
         raise ParameterError("--mask average needs --dataset as background")
-    return MaskingStrategy.average(dataset)
+    strategy = (MaskingStrategy.average(dataset) if args.mask == "average"
+                else getattr(MaskingStrategy, args.mask)())
+    weighting = _WEIGHT_CHOICES[args.weights]()
+    if depths is not None:
+        try:
+            parsed = sorted({int(tok) for tok in depths.split(",") if tok.strip()})
+        except ValueError as exc:
+            raise ParameterError(f"cannot parse depth list {depths!r}") from exc
+        if not parsed:
+            raise ParameterError("depth list is empty")
+    else:
+        try:
+            parsed = [args.depth if args.depth == "exact" else int(args.depth)]
+        except ValueError as exc:
+            raise ParameterError(
+                f"--depth must be 'exact' or an integer, got {args.depth!r}") from exc
+    for d in parsed:
+        if d != "exact" and not 1 <= d <= len(motifs):
+            raise ParameterError(f"depth {d} out of range [1, {len(motifs)}]")
+
+    spec = getattr(args, "graph", "all")  # eval explains the dataset's graphs
+    index = None
+    if spec != "all":
+        try:
+            index = int(spec)
+        except ValueError:  # not an index: a graph file
+            pass
+    if spec != "all" and index is None:
+        g = load_graph_file(spec)
+        inputs.append(spec)
+        if g.n != n:
+            raise ParameterError(f"graph file over {g.n} nodes, motifs over {n}")
+        graphs = [(0, g)]
+    elif dataset is None:
+        raise ParameterError(
+            f"--graph {spec if index is None else '<index>'} needs --dataset")
+    elif index is None:
+        limit = getattr(args, "limit", None)
+        if limit is not None and limit < 1:
+            raise ParameterError("--limit must be >= 1")
+        graphs = list(enumerate(dataset.graphs))[:limit]
+    elif not 0 <= index < len(dataset):
+        raise ParameterError(f"graph index {index} out of range [0, {len(dataset)})")
+    else:
+        graphs = [(index, dataset.graphs[index])]
+    if graphs and (depths is not None or parsed == ["exact"]):  # no graph, no lattice
+        _check_exact_limit(len(motifs), args.exact_limit)
+    return _ExplainJob(n, motifs, graphs, parsed, strategy, weighting, inputs)
 
 
-def _check_depth(d: int, n_motifs: int) -> int:
-    if not 1 <= d <= n_motifs:
-        raise ParameterError(f"depth {d} out of range [1, {n_motifs}]")
-    return d
-
-
-def _parse_depth(text: str, n_motifs: int) -> int | str:
-    """--depth as "exact" or an approximation depth in [1, n_motifs]."""
-    if text == "exact":
-        return text
-    try:
-        d = int(text)
-    except ValueError as exc:
-        raise ParameterError(f"--depth must be 'exact' or an integer, got {text!r}") from exc
-    return _check_depth(d, n_motifs)
-
-
-def _explain_graph(g: Graph, graph_id: int, bb: BlackBox,
-                   motifs: Sequence[Motif], strategy: MaskingStrategy,
-                   weighting: WeightingScheme, depth: int | str,
-                   normalize: bool, exact_limit: int) -> Explanation:
+def _explain_graphs(args: argparse.Namespace, job: _ExplainJob,
+                    bb: BlackBox) -> list[Explanation]:
+    """Explanations of job's graphs at its one depth."""
+    (depth,) = job.depths
     if depth == "exact":
-        return exact_explain(g, bb, motifs, strategy, weighting,
-                             graph_id=graph_id, exact_limit=exact_limit)
-    return approx_explain(g, bb, motifs, strategy, weighting, depth=depth,
-                          graph_id=graph_id, normalize=normalize)
+        return [exact_explain(g, bb, job.motifs, job.strategy, job.weighting,
+                              graph_id=i, exact_limit=args.exact_limit)
+                for i, g in job.graphs]
+    normalize = getattr(args, "normalize", False)  # eval global has no --normalize
+    return [approx_explain(g, bb, job.motifs, job.strategy, job.weighting, depth=depth,
+                           graph_id=i, normalize=normalize)
+            for i, g in job.graphs]
 
 
 def _explanation_doc(ex: Explanation) -> dict:
@@ -324,56 +368,12 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    n, motifs = load_motifs(args.motifs)
-    inputs = [args.motifs]
-    dataset = None
-    if args.dataset is not None:
-        dataset = load_dataset(args.dataset)
-        inputs.append(args.dataset)
-        if dataset.n != n:
-            raise ParameterError(
-                f"motif file over {n} nodes, dataset over {dataset.n}")
-
-    strategy = _strategy(args.mask, dataset)
-    weighting = _WEIGHT_CHOICES[args.weights]()
-    depth = _parse_depth(args.depth, len(motifs))
-    bb = _build_blackbox(args, n, motifs, inputs)
-    try:
-        if args.graph == "all":
-            if dataset is None:
-                raise ParameterError("--graph all needs --dataset")
-            docs = []
-            for i, g in enumerate(dataset.graphs):
-                ex = _explain_graph(g, i, bb, motifs, strategy, weighting,
-                                    depth, args.normalize, args.exact_limit)
-                docs.append(_explanation_doc(ex))
-            payload = json.dumps(docs, separators=(",", ":"))
-        else:
-            try:
-                index = int(args.graph)
-            except ValueError:
-                index = None
-            if index is not None:
-                if dataset is None:
-                    raise ParameterError("--graph <index> needs --dataset")
-                if not 0 <= index < len(dataset):
-                    raise ParameterError(
-                        f"graph index {index} out of range [0, {len(dataset)})")
-                g, gid = dataset.graphs[index], index
-            else:
-                g, gid = load_graph_file(args.graph), 0
-                inputs.append(args.graph)
-                if g.n != n:
-                    raise ParameterError(
-                        f"graph file over {g.n} nodes, motifs over {n}")
-            ex = _explain_graph(g, gid, bb, motifs, strategy, weighting,
-                                depth, args.normalize, args.exact_limit)
-            payload = json.dumps(_explanation_doc(ex), separators=(",", ":"))
-    finally:
-        _close_blackbox(bb)
-
-    atomic_write_text(args.out, payload + "\n")
-    _write_manifest(args.out, "explain", args, inputs, None)
+    job = _explain_job(args, None)
+    with _build_blackbox(args, job.n, job.motifs, job.inputs) as bb:
+        docs = [_explanation_doc(ex) for ex in _explain_graphs(args, job, bb)]
+    payload = docs if args.graph == "all" else docs[0]
+    atomic_write_text(args.out, json.dumps(payload, separators=(",", ":")) + "\n")
+    _write_manifest(args.out, "explain", args, job.inputs, None)
     return 0
 
 
@@ -417,46 +417,20 @@ def _cmd_eval_expected(args: argparse.Namespace) -> int:
     return 0
 
 
-def _select_graph_indices(dataset: LabeledDataset, limit: int | None) -> list[int]:
-    indices = list(range(len(dataset)))
-    if limit is not None:
-        if limit < 1:
-            raise ParameterError("--limit must be >= 1")
-        indices = indices[:limit]
-    return indices
-
-
 def _cmd_eval_approx_corr(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset)
-    n, motifs = load_motifs(args.motifs)
-    if n != dataset.n:
-        raise ParameterError(f"motif file over {n} nodes, dataset over {dataset.n}")
-    try:
-        depths = sorted({int(tok) for tok in args.depths.split(",") if tok.strip()})
-    except ValueError as exc:
-        raise ParameterError(f"cannot parse depth list {args.depths!r}") from exc
-    if not depths:
-        raise ParameterError("depth list is empty")
-    for d in depths:
-        _check_depth(d, len(motifs))
-
-    strategy = _strategy(args.mask, dataset)
-    weighting = _WEIGHT_CHOICES[args.weights]()
-    inputs = [args.dataset, args.motifs]
-    bb = _build_blackbox(args, n, motifs, inputs)
+    job = _explain_job(args, args.depths)
     per_graph = []
     rows = []
-    by_depth: dict[int, list[float]] = {d: [] for d in depths}
+    by_depth: dict[int, list[float]] = {d: [] for d in job.depths}
     skipped = 0
-    try:
-        for i in _select_graph_indices(dataset, args.limit):
-            g = dataset.graphs[i]
+    with _build_blackbox(args, job.n, job.motifs, job.inputs) as bb:
+        for i, g in job.graphs:
             # every depth's coalitions are in the exact lattice
-            exact, approx = explain_depths(g, bb, motifs, strategy, weighting,
-                                           depths, graph_id=i,
+            exact, approx = explain_depths(g, bb, job.motifs, job.strategy,
+                                           job.weighting, job.depths, graph_id=i,
                                            exact_limit=args.exact_limit)
             entry: dict = {"graph": i, "pearson": {}}
-            for d in depths:
+            for d in job.depths:
                 try:
                     r = pearson(approx[d].scores, exact.scores)
                 except UndefinedCorrelationError:
@@ -467,42 +441,26 @@ def _cmd_eval_approx_corr(args: argparse.Namespace) -> int:
                 if r is not None:
                     by_depth[d].append(r)
             per_graph.append(entry)
-    finally:
-        _close_blackbox(bb)
 
     summary = {str(d): (statistics.median(v) if v else None)
                for d, v in by_depth.items()}
     doc = {
-        "depths": depths,
+        "depths": job.depths,
         "median_pearson": summary,
         "undefined": skipped,
         "per_graph": per_graph,
     }
     atomic_write_text(args.out, json.dumps(doc, separators=(",", ":")) + "\n")
-    _write_manifest(args.out, "eval approx-corr", args, inputs, None)
+    _write_manifest(args.out, "eval approx-corr", args, job.inputs, None)
     if args.csv:
         _write_csv(args.csv, ["graph", "depth", "pearson"], rows)
     return 0
 
 
 def _cmd_eval_global(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset)
-    n, motifs = load_motifs(args.motifs)
-    if n != dataset.n:
-        raise ParameterError(f"motif file over {n} nodes, dataset over {dataset.n}")
-    strategy = _strategy(args.mask, dataset)
-    weighting = _WEIGHT_CHOICES[args.weights]()
-    depth = _parse_depth(args.depth, len(motifs))
-    inputs = [args.dataset, args.motifs]
-    bb = _build_blackbox(args, n, motifs, inputs)
-    explanations = []
-    try:
-        for i in _select_graph_indices(dataset, args.limit):
-            explanations.append(
-                _explain_graph(dataset.graphs[i], i, bb, motifs, strategy,
-                               weighting, depth, False, args.exact_limit))
-    finally:
-        _close_blackbox(bb)
+    job = _explain_job(args, None)
+    with _build_blackbox(args, job.n, job.motifs, job.inputs) as bb:
+        explanations = _explain_graphs(args, job, bb)
 
     ranking = global_ranking(explanations)
     position = {mid: pos for pos, mid in enumerate(explanations[0].motif_ids)}
@@ -517,7 +475,7 @@ def _cmd_eval_global(args: argparse.Namespace) -> int:
         entries.append(entry)
     doc = {"graphs": len(explanations), "ranking": entries}
     atomic_write_text(args.out, json.dumps(doc, separators=(",", ":")) + "\n")
-    _write_manifest(args.out, "eval global", args, inputs, None)
+    _write_manifest(args.out, "eval global", args, job.inputs, None)
     if args.csv:
         rows = []
         for mid, mean_abs in ranking:
@@ -557,7 +515,8 @@ def _cmd_blackbox_serve(args: argparse.Namespace) -> int:
         if args.motifs is None:
             raise ParameterError("blackbox-serve --blackbox scorer needs --motifs")
         n, motifs = load_motifs(args.motifs)
-    serve(_build_blackbox(args, n, motifs, []))
+    with _build_blackbox(args, n, motifs, []) as bb:
+        serve(bb)
     return 0
 
 

@@ -156,6 +156,10 @@ class Graph:
             weights = {e: x for e, x in weights.items() if x != 1.0} or None
         self.__dict__.update(n=n, edge_bits=bits, weights=weights)
 
+    def __hash__(self) -> int:
+        # agrees with ==, which compares weights as dicts, whatever their order
+        return hash((self.n, self.edge_bits, frozenset((self.weights or {}).items())))
+
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]],
                    weights: Mapping[Edge, float] | None = None) -> "Graph":

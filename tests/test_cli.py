@@ -259,6 +259,42 @@ def test_depth_is_checked_before_the_blackbox_is_built(synth_files, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, error", [
+    (["explain", "--graph", "all"], "ParameterError"),
+    (["explain", "--dataset", "{data}", "--graph", "99"], "ParameterError"),
+    (["explain", "--graph", "{graph31}"], "ParameterError"),
+    (["eval", "global", "--dataset", "{data}", "--limit", "0"], "ParameterError"),
+    (["eval", "approx-corr", "--dataset", "{data}", "--depths", "1", "--limit", "0"],
+     "ParameterError"),
+    (["explain", "--dataset", "{data}", "--graph", "0", "--exact-limit", "2"],
+     "LatticeTooLargeError"),
+    (["eval", "global", "--dataset", "{data}", "--exact-limit", "2"], "LatticeTooLargeError"),
+    (["eval", "approx-corr", "--dataset", "{data}", "--depths", "1", "--exact-limit", "2"],
+     "LatticeTooLargeError"),
+], ids=["all-without-dataset", "index-out-of-range", "file-over-31-nodes",
+        "global-limit-0", "approx-corr-limit-0", "explain-exact-limit",
+        "global-exact-limit", "approx-corr-exact-limit"])
+def test_usage_is_checked_before_the_blackbox_is_built(synth_files, tmp_path, capsys,
+                                                       monkeypatch, command, error):
+    data_path, motif_path = synth_files
+    graph31 = tmp_path / "graph31.json"
+    graph31.write_text(json.dumps({"n": 31, "edges": [[0, 30]]}))
+    out = tmp_path / "x.json"
+    args = [a.format(data=data_path, graph31=graph31) for a in command]
+    args += ["--motifs", str(motif_path), "--out", str(out)]
+    # a command that cannot start would exit 4 if the black box came first
+    missing = ["--blackbox", "external", "--external-cmd", str(tmp_path / "missing")]
+    assert run(args + missing) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error
+    # and no surrogate is trained for a run that cannot go on
+    monkeypatch.setattr(motifshap.cli, "train_linear_surrogate",
+                        lambda *a, **k: pytest.fail("surrogate trained"))
+    train = [] if "--dataset" in command else ["--train-dataset", str(data_path)]
+    assert run(args + ["--blackbox", "surrogate"] + train) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error
+    assert not out.exists()
+
+
 def test_depth_is_recorded_as_given(synth_files, tmp_path):
     data_path, motif_path = synth_files
     out = tmp_path / "ex.json"

@@ -121,6 +121,26 @@ def test_graph_equality_and_hash_agree_across_constructors(tmp_path):
     assert Graph(n, edges[1:]) != built[0]
     assert Graph(n + 1, edges) != built[0]
 
+    # weighted: (3, 5) at 0.5, (1, 4) at 0.25 and (2, 4) at 0.75, with the
+    # weights listed in a different order by each construction
+    weights = {(3, 5): 0.5, (1, 4): 0.25, (2, 4): 0.75}
+    background = LabeledDataset(n, [Graph(n, [(3, 5), (1, 4)]), Graph(n, [(3, 5)]),
+                                    Graph(n, []), Graph(n, [])], (0, 0, 1, 1))
+    averaged = MaskingStrategy.average(background).mask(
+        Graph(n, [(0, 1), (2, 4)], {(2, 4): 0.75}),
+        [Motif(0, frozenset({(3, 5)})), Motif(1, frozenset({(1, 4)}))])
+    wire = _parse_wire_graph({"n": n, "edges": [[v, u, weights.get((u, v), 1.0)]
+                                                for u, v in reversed(edges)]})
+    built = [Graph(n, edges, {(v, u): w for (u, v), w in reversed(weights.items())}),
+             averaged, wire]
+    for g in built:
+        assert g == built[0]
+        assert g.weights == weights
+        assert hash(g) == hash(built[0])
+    assert len(set(built)) == 1
+    assert Graph(n, edges, {**weights, (0, 1): 0.5}) != built[0]
+    assert Graph(n, edges) not in set(built)
+
 
 def test_edge_bits_matches_manual_bitmask():
     for seed in range(20):
