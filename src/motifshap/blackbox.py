@@ -24,6 +24,7 @@ import subprocess
 import sys
 import time
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO, Sequence
@@ -229,6 +230,11 @@ def _request_line(rid: int, g: Graph) -> bytes:
     return f'{{"id":{rid},"n":{g.n},"edges":[{",".join(parts)}]}}\n'.encode("ascii")
 
 
+#: Requests the wire client keeps in flight within one evaluate_batch call,
+#: so that encoding, the pipe and the served model overlap.
+WINDOW = 4
+
+
 class ExternalBlackBox(BlackBox):
     """Client for a classifier running as a child process.
 
@@ -237,10 +243,15 @@ class ExternalBlackBox(BlackBox):
     {"ready": true}; each query {"id", "n", "edges": [[u, v, w], ...]}
     lists every edge once, in ascending (u, v) with u < v, with weight
     1.0 for an unweighted edge, and is answered by {"id", "p"} with
-    matching id and p in [0, 1]. One request is in flight at a time.
-    Any deviation (process exit, malformed reply, id mismatch,
-    out-of-range p, timeout) raises TransportError; there are no silent
-    fallbacks.
+    matching id and p in [0, 1], in request order. Within evaluate_batch
+    up to WINDOW requests are in flight: evaluate(g) sends g first if it
+    is not sent yet, then the batch's next graphs until WINDOW are
+    unanswered, then reads g's reply. A standalone evaluate(g) keeps one
+    request in flight. The timeout bounds each write and each read. Any
+    deviation (process exit, malformed reply, id mismatch, out-of-range
+    p, timeout) raises TransportError; there are no silent fallbacks. A
+    timeout, or an error that leaves requests unanswered, ends the child,
+    so no late reply is read as the answer to a later request.
     """
 
     def __init__(self, command: Sequence[str], timeout: float = 30.0):
@@ -249,6 +260,8 @@ class ExternalBlackBox(BlackBox):
         self.command = list(command)
         self.timeout = float(timeout)
         self._next_id = 0
+        self._in_flight = 0
+        self._queue: deque[Graph] = deque()
         self._rxbuf = bytearray()
         try:
             self._proc = subprocess.Popen(
@@ -257,6 +270,7 @@ class ExternalBlackBox(BlackBox):
         except OSError as exc:
             raise TransportError(f"cannot start {self.command[0]}: {exc}") from exc
         try:
+            os.set_blocking(self._proc.stdin.fileno(), False)
             hello = json.dumps({"hello": PROTOCOL_HELLO}, separators=(",", ":")) + "\n"
             self._send(hello.encode("ascii"))
             reply = self._recv()
@@ -266,27 +280,43 @@ class ExternalBlackBox(BlackBox):
             self.close()
             raise
 
+    def _kill(self) -> None:
+        self._proc.kill()
+        self._proc.wait()
+
+    def _wait_ready(self, fd: int, deadline: float, write: bool) -> bool:
+        """Wait until fd is writable (or readable) or the deadline passes;
+        past the deadline the child is ended and TransportError raised."""
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            # a late reply would be read as the answer to the next
+            # request, so the child cannot be reused: end it now
+            self._kill()
+            raise TransportError(
+                f"external black-box timed out after {self.timeout}s")
+        fds = ([], [fd]) if write else ([fd], [])
+        return any(select.select(*fds, [], remaining)[:2])
+
     def _send(self, line: bytes) -> None:
+        deadline = time.monotonic() + self.timeout
+        view = memoryview(line)
         try:
-            self._proc.stdin.write(line)
-            self._proc.stdin.flush()
-        except (OSError, ValueError, BrokenPipeError) as exc:
+            fd = self._proc.stdin.fileno()
+            while view:
+                try:
+                    view = view[os.write(fd, view):]
+                except BlockingIOError:
+                    self._wait_ready(fd, deadline, write=True)
+        except (OSError, ValueError) as exc:
+            # part of the line may be written: the stream is lost
+            self._kill()
             raise TransportError(f"write to external black-box failed: {exc}") from exc
 
     def _recv(self) -> dict:
         deadline = time.monotonic() + self.timeout
         fd = self._proc.stdout.fileno()
         while b"\n" not in self._rxbuf:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                # a late reply would be read as the answer to the next
-                # request, so the child cannot be reused: end it now
-                self._proc.kill()
-                self._proc.wait()
-                raise TransportError(
-                    f"external black-box timed out after {self.timeout}s")
-            readable, _, _ = select.select([fd], [], [], remaining)
-            if not readable:
+            if not self._wait_ready(fd, deadline, write=False):
                 continue
             chunk = os.read(fd, 65536)
             if not chunk:
@@ -302,13 +332,24 @@ class ExternalBlackBox(BlackBox):
             raise TransportError(f"reply is not a JSON object: {obj!r}")
         return obj
 
+    def _send_request(self, g: Graph) -> None:
+        self._send(_request_line(self._next_id, g))
+        self._next_id += 1
+        self._in_flight += 1
+
     def evaluate(self, g: Graph) -> float:
         if self._proc.poll() is not None:
             raise TransportError(
                 f"external black-box exited with code {self._proc.returncode}")
-        rid = self._next_id
-        self._next_id += 1
-        self._send(_request_line(rid, g))
+        if not self._in_flight:
+            # g is unsent: it is the head of the batch's queue, or standalone
+            if self._queue and self._queue[0] is g:
+                self._queue.popleft()
+            self._send_request(g)
+        while self._in_flight < WINDOW and self._queue:
+            self._send_request(self._queue.popleft())
+        rid = self._next_id - self._in_flight
+        self._in_flight -= 1
         reply = self._recv()
         if reply.get("id") != rid:
             raise TransportError(
@@ -320,6 +361,20 @@ class ExternalBlackBox(BlackBox):
         if not 0.0 <= p <= 1.0 or math.isnan(p):
             raise TransportError(f"reply probability {p} outside [0, 1]")
         return p
+
+    def evaluate_batch(self, graphs: Sequence[Graph]) -> list[float]:
+        # evaluate is called once per graph, in order, so a subclass that
+        # counts queries there sees each one; it sends the queued graphs
+        # ahead of their turn
+        self._queue.extend(graphs)
+        try:
+            return [self.evaluate(g) for g in graphs]
+        finally:
+            self._queue.clear()
+            if self._in_flight:
+                # unanswered requests would be read as later answers
+                self._in_flight = 0
+                self._kill()
 
     def close(self) -> None:
         proc = getattr(self, "_proc", None)
@@ -335,6 +390,7 @@ class ExternalBlackBox(BlackBox):
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        proc.stdout.close()
 
 
 def _parse_wire_graph(obj: dict) -> Graph:

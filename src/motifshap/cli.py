@@ -184,7 +184,7 @@ def _add_blackbox_flags(p: argparse.ArgumentParser, serve_mode: bool = False) ->
         p.add_argument("--external-cmd", default=None,
                        help="command line of an external black-box process")
         p.add_argument("--timeout", type=float, default=30.0,
-                       help="external black-box reply timeout in seconds")
+                       help="external black-box timeout in seconds, per write and per read")
 
 
 def _build_blackbox(args: argparse.Namespace, n: int, motifs: Sequence[Motif],

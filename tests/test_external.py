@@ -4,6 +4,7 @@ blackbox-serve server and against deliberately broken peers."""
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -24,7 +25,8 @@ from motifshap import (
     serve,
     train_linear_surrogate,
 )
-from motifshap.blackbox import _request_line
+from motifshap.blackbox import WINDOW, _request_line
+from motifshap.graphs import all_pairs
 
 from conftest import philox, random_graph, random_motif_set, random_weighted_graph
 
@@ -73,6 +75,8 @@ def test_served_surrogate_is_bit_identical(tmp_path):
     with ExternalBlackBox(cmd) as remote:
         for g in graphs:
             assert remote.evaluate(g) == local.evaluate(g)
+        # the same graphs with several requests in flight
+        assert remote.evaluate_batch(graphs) == [local.evaluate(g) for g in graphs]
 
 
 def _reference_request(rid, g):
@@ -201,6 +205,85 @@ time.sleep(30)
             bb.evaluate(Graph.from_edges(3, [(0, 1)]))
         # the hung child is ended with the error, not left to sleep
         bb._proc.wait(timeout=2)
+
+
+def test_timeout_bounds_writes(tmp_path):
+    # the peer never reads the request, which is larger than a pipe's
+    # buffer, so the write blocks; the peer exits on its own after 10 s
+    body = """
+import time
+line = sys.stdin.readline()
+print(json.dumps({"ready": True}), flush=True)
+time.sleep(10)
+"""
+    big = Graph.from_edges(200, all_pairs(200))
+    assert len(_request_line(0, big)) > 65536
+    with ExternalBlackBox(_script(tmp_path, body), timeout=1.0) as bb:
+        start = time.monotonic()
+        with pytest.raises(TransportError):
+            bb.evaluate(big)
+        assert time.monotonic() - start < 5.0
+        assert bb._proc.poll() is not None
+
+
+def test_batch_keeps_requests_in_flight(tmp_path):
+    # the peer answers its first request only once it has read a second
+    body = """
+line = sys.stdin.readline()
+print(json.dumps({"ready": True}), flush=True)
+held = [sys.stdin.readline() for _ in range(2)]
+def answer(line):
+    print(json.dumps({"id": json.loads(line)["id"], "p": 0.5}), flush=True)
+for line in held:
+    answer(line)
+for line in sys.stdin:
+    answer(line)
+"""
+    graphs = [random_graph(N, 0.4, philox(seed)) for seed in range(10)]
+    with ExternalBlackBox(_script(tmp_path, body), timeout=2.0) as bb:
+        assert bb.evaluate_batch(graphs) == [0.5] * 10
+
+
+ID_PEER = CONSTANT_PEER.replace('"p": 0.5', '"p": req["id"] / 1000')
+
+
+def test_batch_values_keep_input_order(tmp_path):
+    graphs = [random_graph(N, 0.4, philox(seed)) for seed in range(50)]
+    with ExternalBlackBox(_script(tmp_path, ID_PEER)) as bb:
+        values = bb.evaluate_batch(graphs[:25])
+        values.append(bb.evaluate(graphs[25]))
+        values += bb.evaluate_batch(graphs[26:])
+    assert len(graphs[26:]) > WINDOW
+    assert values == [rid / 1000 for rid in range(50)]
+
+
+class _CountingClient(ExternalBlackBox):
+    def __init__(self, command):
+        self.calls = 0
+        super().__init__(command)
+
+    def evaluate(self, g):
+        self.calls += 1
+        return super().evaluate(g)
+
+
+def test_batch_calls_evaluate_once_per_graph(tmp_path):
+    graphs = [random_graph(N, 0.4, philox(seed)) for seed in range(3 * WINDOW + 1)]
+    with _CountingClient(_script(tmp_path, ID_PEER)) as bb:
+        values = bb.evaluate_batch(graphs)
+        assert bb.calls == len(graphs)
+    assert values == [rid / 1000 for rid in range(len(graphs))]
+
+
+def test_failure_mid_window_ends_the_child(tmp_path):
+    body = CONSTANT_PEER.replace('req["id"]', '999 if req["id"] == 2 else req["id"]')
+    graphs = [random_graph(N, 0.4, philox(seed)) for seed in range(10)]
+    with ExternalBlackBox(_script(tmp_path, body)) as bb:
+        with pytest.raises(TransportError, match="999"):
+            bb.evaluate_batch(graphs)
+        with pytest.raises(TransportError):
+            bb.evaluate(graphs[3])
+        assert bb._proc.poll() is not None
 
 
 def test_missing_command_rejected(tmp_path):
