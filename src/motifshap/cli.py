@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import shlex
@@ -58,10 +57,12 @@ from .graphs import (
     _read_json,
     atomic_write_text,
     dataset_to_json,
+    last_digest,
     load_dataset,
     load_graph_file,
     load_motifs,
     motifs_to_json,
+    remember_motifs,
 )
 from .masking import MaskingStrategy
 from .mining import MinerConfig, RankerConfig, cross_support, mine, rank_and_select
@@ -85,14 +86,6 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _jsonable_config(args: argparse.Namespace) -> dict:
     skip = {"cmd", "evalcmd"}
     out = {}
@@ -106,15 +99,17 @@ def _jsonable_config(args: argparse.Namespace) -> dict:
 def _write_manifest(out_path: str, subcommand: str, args: argparse.Namespace,
                     inputs: Sequence[str], seed: int | None,
                     extra: dict | None = None) -> None:
+    """Write out_path's manifest. Digests are of the bytes this process
+    parsed from each input and wrote to out_path, not of the files now."""
     manifest = {
         "tool": "motifshap",
         "tool_version": __version__,
         "format_version": FORMAT_VERSION,
         "subcommand": subcommand,
         "config": _jsonable_config(args),
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": {p: last_digest(p) for p in inputs},
         "output": out_path,
-        "output_digest": _sha256(out_path),
+        "output_digest": last_digest(out_path),
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -312,6 +307,14 @@ def _explanation_doc(ex: Explanation) -> dict:
     }
 
 
+def _write_motifs(path: str, n: int, motifs: list[Motif],
+                  scores: list[float] | None = None) -> None:
+    """Write a motif file and cache its motifs as the parse of its bytes,
+    so a later stage of the same process reads them without parsing."""
+    atomic_write_text(path, motifs_to_json(n, motifs, scores) + "\n")
+    remember_motifs(path, n, motifs)
+
+
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -346,7 +349,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     cfg = MinerConfig(support_threshold=args.support, max_size=args.max_size,
                       label=args.label)
     motifs = mine(dataset, cfg)
-    atomic_write_text(args.out, motifs_to_json(dataset.n, motifs) + "\n")
+    _write_motifs(args.out, dataset.n, motifs)
     _write_manifest(args.out, "mine", args, [args.dataset], None,
                     {"motif_count": len(motifs)})
     return 0
@@ -361,7 +364,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     cfg = RankerConfig(dt=args.dt, st=args.st, k=args.k)
     selected = rank_and_select(motifs, dataset, cfg)
     scores = [cross_support(m, dataset) for m in selected]
-    atomic_write_text(args.out, motifs_to_json(n, selected, scores) + "\n")
+    _write_motifs(args.out, n, selected, scores)
     _write_manifest(args.out, "rank", args, [args.dataset, args.motifs], None,
                     {"selected": len(selected)})
     return 0

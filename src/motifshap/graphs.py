@@ -27,9 +27,12 @@ cross-support are popcounts of that chain.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -444,37 +447,105 @@ def support(m: Iterable[Edge], d: LabeledDataset, label_filter: int | None = Non
 # Graph:    {"n": int, "edges": [[u,v], ...]}
 #
 # Serializers sort edge lists by (u, v) so parse -> serialize round-trips
-# byte-identically.
+# byte-identically. They build the text from fragments, byte for byte what
+# json.dumps(doc, separators=(",", ":")) gives for the same document.
+#
+# Every file is read as bytes once. The sha256 of the bytes last read from
+# or written to each path is kept for manifests (last_digest), and the
+# validated result of load_dataset and load_motifs is cached by (kind,
+# digest), so reading the same bytes again, under any path, parses nothing.
+
+#: Parsed files the cache keeps, least recently used dropped first.
+PARSE_CACHE_ENTRIES = 4
+
+_parsed: OrderedDict[tuple[str, str], object] = OrderedDict()
+_parsed_lock = threading.Lock()
+_digests: dict[str, str] = {}
 
 
-def _read_json(path: str | os.PathLike) -> object:
+def _read_bytes(path: str | os.PathLike) -> tuple[bytes, str]:
+    """The file's bytes and their digest, which is recorded for last_digest."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    digest = _digests[os.fspath(path)] = hashlib.sha256(data).hexdigest()
+    return data, digest
+
+
+def _decode_json(path: str | os.PathLike, data: bytes) -> object:
+    # strict UTF-8 to str first: json.loads on bytes would also take UTF-16,
+    # UTF-32 and a leading byte-order mark, which it rejects in a str
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8: {exc}") from exc
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _read_json(path: str | os.PathLike) -> object:
+    return _decode_json(path, _read_bytes(path)[0])
+
+
+def last_digest(path: str | os.PathLike) -> str:
+    """Hex sha256 of the bytes this process last read from path with a
+    loader, or wrote there with atomic_write_text."""
+    return _digests[os.fspath(path)]
+
+
+def _remember(key: tuple[str, str], value: object) -> None:
+    with _parsed_lock:
+        _parsed[key] = value
+        _parsed.move_to_end(key)
+        while len(_parsed) > PARSE_CACHE_ENTRIES:
+            _parsed.popitem(last=False)
+
+
+def _cached_load(path: str | os.PathLike, kind: str, parse) -> object:
+    """parse(path, bytes) of the file's bytes, or the cached result of an
+    earlier successful parse of the same bytes."""
+    data, digest = _read_bytes(path)
+    key = (kind, digest)
+    with _parsed_lock:
+        value = _parsed.get(key)
+        if value is not None:
+            _parsed.move_to_end(key)
+    if value is None:
+        value = parse(path, data)
+        _remember(key, value)
+    return value
+
+
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write text to path atomically (temp file in the same directory,
-    then rename)."""
+    """Write text to path atomically (UTF-8 in a temp file in the same
+    directory, then rename), and record the digest of the bytes written."""
     path = os.fspath(path)
+    data = text.encode("utf-8")
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    _digests[path] = hashlib.sha256(data).hexdigest()
 
 
 def load_dataset(path: str | os.PathLike) -> LabeledDataset:
-    doc = _read_json(path)
+    """Load a dataset file. The result is shared by every load of the same
+    bytes in this process, occurrence index included."""
+    return _cached_load(path, "dataset", _parse_dataset)
+
+
+def _parse_dataset(path: str | os.PathLike, data: bytes) -> LabeledDataset:
+    doc = _decode_json(path, data)
     try:
         n = _as_int(doc["n"], "node count")
         graphs = []
@@ -487,17 +558,28 @@ def load_dataset(path: str | os.PathLike) -> LabeledDataset:
         raise InputFormatError(f"{path}: malformed dataset: {exc}") from exc
 
 
+@lru_cache(maxsize=8)
+def _edge_fragments(n: int) -> tuple[str, ...]:
+    """File fragment "[u,v]" of every node pair of an n-node universe, in
+    pair_index order."""
+    return tuple(f"[{u},{v}]" for u, v in all_pairs(n))
+
+
 def dataset_to_json(d: LabeledDataset) -> str:
-    doc: dict = {
-        "n": d.n,
-        "graphs": [
-            {"label": lab, "edges": [list(e) for e in g.sorted_edges()]}
-            for g, lab in zip(d.graphs, d.labels)
-        ],
-    }
+    """The dataset file text, without weights."""
+    frags = _edge_fragments(d.n)
+
+    def edges(g: Graph) -> str:
+        idx = np.flatnonzero(unpack_edges(g.edge_bits, d.n)).tolist()
+        return ",".join([frags[i] for i in idx])
+
+    graphs = ",".join(f'{{"label":{lab},"edges":[{edges(g)}]}}'
+                      for g, lab in zip(d.graphs, d.labels))
+    text = f'{{"n":{d.n},"graphs":[{graphs}]'
     if d.injections is not None:
-        doc["injections"] = [list(row) for row in d.injections]
-    return json.dumps(doc, separators=(",", ":"))
+        rows = ",".join(f"[{','.join(map(str, row))}]" for row in d.injections)
+        text += f',"injections":[{rows}]'
+    return text + "}"
 
 
 def save_dataset(d: LabeledDataset, path: str | os.PathLike) -> None:
@@ -517,30 +599,41 @@ def _motif_from_entry(n: int, entry: Mapping) -> Motif:
 
 
 def load_motifs(path: str | os.PathLike) -> tuple[int, list[Motif]]:
-    """Load a motif file; returns (n, motifs)."""
-    doc = _read_json(path)
+    """Load a motif file; returns (n, motifs), the list fresh on every call."""
+    n, motifs = _cached_load(path, "motifs", _parse_motifs)
+    return n, list(motifs)
+
+
+def _parse_motifs(path: str | os.PathLike, data: bytes) -> tuple[int, tuple[Motif, ...]]:
+    doc = _decode_json(path, data)
     try:
         n = _as_int(doc["n"], "node count")
         if n < 0:
             raise ParameterError("node count must be nonnegative")
-        return n, [_motif_from_entry(n, entry) for entry in doc["motifs"]]
+        return n, tuple(_motif_from_entry(n, entry) for entry in doc["motifs"])
     except (AttributeError, KeyError, TypeError, ValueError, IndexError,
             ParameterError) as exc:
         raise InputFormatError(f"{path}: malformed motif file: {exc}") from exc
 
 
+def remember_motifs(path: str | os.PathLike, n: int, motifs: Sequence[Motif]) -> None:
+    """Cache (n, motifs) as the parse of the bytes this process last wrote
+    to path, which must be motifs_to_json(n, motifs, ...): a motif file
+    round-trips exactly (the reader ignores "cs"), so a later load_motifs
+    of those bytes returns these motifs without parsing them."""
+    _remember(("motifs", last_digest(path)), (n, tuple(motifs)))
+
+
 def motifs_to_json(n: int, motifs: Sequence[Motif],
                    cs_scores: Sequence[float] | None = None) -> str:
+    """The motif file text; each motif gets its "cs" score when given."""
     entries = []
     for i, m in enumerate(motifs):
-        entry: dict = {"id": m.id}
-        if m.class_sign is not None:
-            entry["class"] = 1 if m.class_sign > 0 else 0
-        entry["edges"] = [list(e) for e in m.sorted_edges()]
-        if cs_scores is not None:
-            entry["cs"] = cs_scores[i]
-        entries.append(entry)
-    return json.dumps({"n": n, "motifs": entries}, separators=(",", ":"))
+        cls = "" if m.class_sign is None else f'"class":{1 if m.class_sign > 0 else 0},'
+        edges = ",".join([f"[{u},{v}]" for u, v in m.sorted_edges()])
+        cs = "" if cs_scores is None else f',"cs":{json.dumps(cs_scores[i])}'
+        entries.append(f'{{"id":{m.id},{cls}"edges":[{edges}]{cs}}}')
+    return f'{{"n":{n},"motifs":[{",".join(entries)}]}}'
 
 
 def save_motifs(n: int, motifs: Sequence[Motif], path: str | os.PathLike,

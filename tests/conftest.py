@@ -8,11 +8,14 @@ of drawing from ambient entropy.
 from __future__ import annotations
 
 import math
+import os
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from motifshap import Graph, Motif, erdos_renyi
+from motifshap import Graph, Motif, erdos_renyi, graphs
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -58,6 +61,20 @@ def random_motif_set(n: int, count: int, n_edges: int,
     signs = [-1, 1]
     return [random_connected_motif(i, n, n_edges, rng, signs[i % 2])
             for i in range(count)]
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """Start from an empty parse cache and log every uncached parse of a
+    dataset or motif file as (kind, path) in the returned list."""
+    monkeypatch.setattr(graphs, "_parsed", OrderedDict())
+    log = []
+    for kind, name in (("dataset", "_parse_dataset"), ("motifs", "_parse_motifs")):
+        def logged(path, data, parse=getattr(graphs, name), kind=kind):
+            log.append((kind, os.fspath(path)))
+            return parse(path, data)
+        monkeypatch.setattr(graphs, name, logged)
+    return log
 
 
 def scan_support(d, edges, label=None) -> int:

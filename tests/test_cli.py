@@ -1,3 +1,5 @@
+import codecs
+import hashlib
 import io
 import json
 import pathlib
@@ -19,6 +21,7 @@ from motifshap import (
     pearson,
     query_budget,
 )
+from motifshap import cli, graphs
 from motifshap.cli import run
 
 
@@ -315,6 +318,33 @@ def test_malformed_dataset_exits_3(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InputFormatError"
 
 
+@pytest.mark.parametrize("reader", ["dataset", "motifs", "graph", "corr", "config"])
+@pytest.mark.parametrize("raw, detail", [
+    (b'\xff{"n": 3}', "{path}: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+                       "invalid start byte"),
+    ('{"n": 3}'.encode("utf-16"), "{path}: not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                                  "in position 0: invalid start byte"),
+    (codecs.BOM_UTF8 + b'{"n": 3}', "{path}: invalid JSON: Unexpected UTF-8 BOM (decode using "
+                                    "utf-8-sig): line 1 column 1 (char 0)"),
+], ids=["byte-0xff", "utf-16", "utf-8-bom"])
+def test_undecodable_input_exits_3(synth_files, tmp_path, capsys, reader, raw, detail):
+    data_path, motif_path = synth_files
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    out = str(tmp_path / "out.json")
+    argv = {
+        "dataset": ["eval", "separability", "--dataset", str(bad), "--out", out],
+        "motifs": ["rank", "--dataset", str(data_path), "--motifs", str(bad), "--out", out],
+        "graph": ["explain", "--motifs", str(motif_path), "--graph", str(bad),
+                  "--rho", "0.2,0.6,1.0", "--out", out],
+        "corr": _synth_args(tmp_path / "x") + ["--corr", str(bad)],
+        "config": ["pipeline", str(bad)],
+    }[reader]
+    assert run(argv) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "InputFormatError", "detail": detail.format(path=bad)}
+
+
 def test_usage_error_exits_2(capsys):
     assert run(["mine", "--support", "1"]) == 2
     err = json.loads(capsys.readouterr().err)
@@ -490,3 +520,80 @@ def test_blackbox_serve_invalid_request_exits_3(synth_files, monkeypatch, capsys
     code = run(["blackbox-serve", "--motifs", str(motif_path), "--rho", "0.2,0.6,1.0"])
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"] == "InputFormatError"
+
+
+def _discovery_stages(d):
+    """The README's mine, rank, separability and expected stages over the
+    data.json and motifs.json in directory d."""
+    data, motifs = str(d / "data.json"), str(d / "motifs.json")
+    return [
+        ["mine", "--dataset", data, "--support", "10", "--max-size", "3",
+         "--out", str(d / "mined.json")],
+        ["rank", "--dataset", data, "--motifs", str(d / "mined.json"), "--dt", "0.5",
+         "--st", "2", "--k", "5", "--out", str(d / "selected.json")],
+        ["eval", "separability", "--dataset", data, "--out", str(d / "sep.json"),
+         "--csv", str(d / "sep.csv")],
+        ["eval", "expected", "--dataset", data, "--motifs", motifs, "--rho", "0.2,0.6,1.0",
+         "--out", str(d / "exp.json"), "--csv", str(d / "exp.csv")],
+    ]
+
+
+def test_pipeline_reads_each_input_once_and_writes_what_separate_runs_write(
+        synth_files, tmp_path, parses):
+    piped, separate = tmp_path / "piped", tmp_path / "separate"
+    for d in (piped, separate):
+        d.mkdir()
+        for src in synth_files:
+            (d / src.name).write_bytes(src.read_bytes())
+    config = piped / "pipe.json"
+    config.write_text(json.dumps({"stages": [{"run": argv[0], "args": argv[1:]}
+                                            for argv in _discovery_stages(piped)]}))
+    assert run(["pipeline", str(config)]) == 0
+    assert sorted(parses) == [("dataset", str(piped / "data.json")),
+                              ("motifs", str(piped / "motifs.json"))]
+    remembered = dict(graphs._parsed)
+
+    for argv in _discovery_stages(separate):
+        graphs._parsed.clear()  # as if each stage ran in its own process
+        assert run(argv) == 0
+    outputs = ["mined.json", "selected.json", "sep.json", "sep.csv", "exp.json", "exp.csv"]
+    for name in outputs:
+        assert (piped / name).read_bytes() == (separate / name).read_bytes(), name
+    for name in outputs[:3] + outputs[4:5]:
+        a, b = (json.loads((d / f"{name}.manifest.json").read_text()) for d in (piped, separate))
+        assert list(a["inputs"].values()) == list(b["inputs"].values())
+        assert a["output_digest"] == b["output_digest"]
+
+    for name in ("mined.json", "selected.json"):
+        raw = (piped / name).read_bytes()
+        n, motifs = remembered[("motifs", hashlib.sha256(raw).hexdigest())]
+        graphs._parsed.clear()
+        assert (n, list(motifs)) == load_motifs(piped / name)
+
+
+def test_manifest_records_the_bytes_the_command_parsed(synth_files, tmp_path, monkeypatch):
+    data_path, _ = synth_files
+    parsed = data_path.read_bytes()
+    real_mine = cli.mine
+
+    def replace_input_then_mine(dataset, cfg):
+        data_path.write_text('{"n": 30, "graphs": []}\n')
+        return real_mine(dataset, cfg)
+
+    monkeypatch.setattr(cli, "mine", replace_input_then_mine)
+    out = tmp_path / "mined.json"
+    assert run(["mine", "--dataset", str(data_path), "--support", "10",
+                "--max-size", "3", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "mined.json.manifest.json").read_text())
+    assert manifest["inputs"] == {str(data_path): hashlib.sha256(parsed).hexdigest()}
+    assert manifest["output_digest"] == hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_surrogate_trains_on_the_dataset_parsed_once(synth_files, tmp_path, parses):
+    data_path, motif_path = synth_files
+    assert run(["explain", "--motifs", str(motif_path), "--dataset", str(data_path),
+                "--graph", "0", "--depth", "1", "--blackbox", "surrogate", "--epochs", "5",
+                "--out", str(tmp_path / "ex.json")]) == 0
+    assert parses.count(("dataset", str(data_path))) == 1
+    manifest = json.loads((tmp_path / "ex.json.manifest.json").read_text())
+    assert manifest["inputs"][str(data_path)] == hashlib.sha256(data_path.read_bytes()).hexdigest()

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -25,16 +28,26 @@ from motifshap import (
     support,
 )
 from motifshap.blackbox import _parse_wire_graph
+from motifshap import graphs
 from motifshap.graphs import (
+    PARSE_CACHE_ENTRIES,
     all_pairs,
     atomic_write_text,
     dataset_to_json,
     edge_set_jaccard,
+    last_digest,
     motifs_to_json,
     pair_index,
+    remember_motifs,
 )
 
-from conftest import philox, random_connected_motif, random_graph, scan_support
+from conftest import (
+    philox,
+    random_connected_motif,
+    random_graph,
+    random_weighted_graph,
+    scan_support,
+)
 
 
 def test_pair_index_enumerates_upper_triangle():
@@ -341,6 +354,59 @@ def test_motif_file_roundtrip(tmp_path):
     assert path.read_bytes() == first
 
 
+def _reference_dataset_to_json(d):
+    """The json.dumps builder that dataset_to_json must match byte for byte."""
+    doc = {"n": d.n, "graphs": [{"label": lab, "edges": [list(e) for e in g.sorted_edges()]}
+                                for g, lab in zip(d.graphs, d.labels)]}
+    if d.injections is not None:
+        doc["injections"] = [list(row) for row in d.injections]
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def _reference_motifs_to_json(n, motifs, cs_scores=None):
+    """The json.dumps builder that motifs_to_json must match byte for byte."""
+    entries = []
+    for i, m in enumerate(motifs):
+        entry = {"id": m.id}
+        if m.class_sign is not None:
+            entry["class"] = 1 if m.class_sign > 0 else 0
+        entry["edges"] = [list(e) for e in m.sorted_edges()]
+        if cs_scores is not None:
+            entry["cs"] = cs_scores[i]
+        entries.append(entry)
+    return json.dumps({"n": n, "motifs": entries}, separators=(",", ":"))
+
+
+def _dataset_cases():
+    rng = philox(31)
+    weighted = tuple(random_weighted_graph(12, 0.3, rng) for _ in range(4))
+    plain = tuple(random_graph(12, 0.3, rng) for _ in range(4))
+    return [
+        LabeledDataset(0, (), ()),
+        LabeledDataset(0, (), (), injections=()),
+        LabeledDataset(5, (Graph(5, []), Graph(5, [])), (1, 0)),
+        LabeledDataset(1, (Graph(1, []),), (0,), injections=((1, -1, 0),)),
+        LabeledDataset(12, weighted, (0, 1, 1, 0)),
+        LabeledDataset(12, plain, (1, 0, 0, 1), injections=((1, 0), (-1, 1), (0, 0), (1, -1))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_dataset_writer_matches_json_dumps(case):
+    d = _dataset_cases()[case]
+    assert dataset_to_json(d) == _reference_dataset_to_json(d)
+
+
+def test_motif_writer_matches_json_dumps():
+    rng = philox(32)
+    motifs = [random_connected_motif(i, 15, 1 + i % 5, rng, (None, -1, 1)[i % 3])
+              for i in range(9)]
+    scores = [0.0, 1.5, 1 / 3, 1e-20, 2.0 ** 0.5, 1e300, 3, float("nan"), float("inf")]
+    for n, ms, cs in ((0, [], None), (0, [], []), (15, motifs, None), (15, motifs, scores),
+                      (15, [Motif(2 ** 70, {(3, 4)}, 1)], [-0.0])):
+        assert motifs_to_json(n, ms, cs) == _reference_motifs_to_json(n, ms, cs)
+
+
 def test_motif_file_with_scores(tmp_path):
     motifs = [Motif(7, frozenset({(0, 1), (1, 2)}), 1)]
     text = motifs_to_json(3, motifs, [1.5])
@@ -452,3 +518,110 @@ def test_missing_file_raises_input_format_error(tmp_path):
         load_dataset(tmp_path / "nope.json")
     with pytest.raises(InputFormatError):
         load_graph_file(tmp_path / "nope.json")
+
+
+def test_a_second_read_of_the_same_bytes_parses_nothing(tmp_path, parses):
+    d = _toy_dataset()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_dataset(d, a)
+    b.write_bytes(a.read_bytes())
+    first = load_dataset(a)
+    assert load_dataset(a) is first and load_dataset(b) is first
+    assert parses == [("dataset", str(a))]
+    save_dataset(LabeledDataset(d.n, d.graphs[:1], d.labels[:1]), a)
+    assert len(load_dataset(a)) == 1 and load_dataset(b) is first
+    assert parses == [("dataset", str(a))] * 2
+
+
+def test_digests_are_of_the_bytes_read_and_written(tmp_path):
+    path = tmp_path / "g.json"
+    atomic_write_text(path, '{"n": 2, "edges": [[0, 1]]}\u00e9')
+    written = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert last_digest(path) == written
+    path.write_text('{"n": 2, "edges": []}')
+    load_graph_file(path)
+    assert last_digest(str(path)) != written
+    assert last_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_load_motifs_hands_out_fresh_lists(tmp_path, parses):
+    path = tmp_path / "m.json"
+    save_motifs(4, [Motif(0, {(0, 1)}), Motif(1, {(1, 2), (2, 3)}, 1)], path)
+    n, first = load_motifs(path)
+    first.clear()
+    assert load_motifs(path) == (4, [Motif(0, {(0, 1)}), Motif(1, {(1, 2), (2, 3)}, 1)])
+    assert parses == [("motifs", str(path))]
+
+
+def test_only_successful_parses_are_cached(tmp_path, parses):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 3, "graphs": [{"label": 5, "edges": []}]}')
+    for _ in range(2):
+        with pytest.raises(InputFormatError, match="malformed dataset"):
+            load_dataset(path)
+    assert len(parses) == 2 and not graphs._parsed
+
+
+def test_cache_keeps_the_most_recently_used_files(tmp_path, parses):
+    paths = [tmp_path / f"m{i}.json" for i in range(PARSE_CACHE_ENTRIES + 1)]
+    for i, path in enumerate(paths):
+        save_motifs(4, [Motif(i, {(0, 1)})], path)
+    for path in paths[:-1]:
+        load_motifs(path)
+    load_motifs(paths[0])  # now the most recent: paths[1] goes next
+    load_motifs(paths[-1])
+    assert len(parses) == PARSE_CACHE_ENTRIES + 1
+    load_motifs(paths[0])
+    assert len(parses) == PARSE_CACHE_ENTRIES + 1
+    load_motifs(paths[1])
+    assert parses[-1] == ("motifs", str(paths[1]))
+
+
+def test_the_same_bytes_are_cached_apart_per_kind(tmp_path, parses):
+    path = tmp_path / "both.json"
+    path.write_text('{"n": 3, "graphs": [], "motifs": [{"id": 0, "edges": [[0, 1]]}]}')
+    assert len(load_dataset(path)) == 0
+    assert load_motifs(path) == (3, [Motif(0, {(0, 1)})])
+    assert [kind for kind, _ in parses] == ["dataset", "motifs"]
+
+
+def test_remembered_motifs_are_what_a_parse_gives(tmp_path, parses):
+    rng = philox(33)
+    motifs = [random_connected_motif(i, 10, 3, rng, (None, -1, 1)[i % 3]) for i in range(6)]
+    path = tmp_path / "ranked.json"
+    save_motifs(10, motifs, path, [0.5 * i for i in range(6)])
+    remember_motifs(path, 10, motifs)
+    assert load_motifs(path) == (10, motifs)
+    assert parses == []
+    graphs._parsed.clear()
+    assert load_motifs(path) == (10, motifs)
+    assert parses == [("motifs", str(path))]
+
+
+def test_cache_survives_concurrent_loads(tmp_path, parses):
+    paths = [tmp_path / f"{i}.json" for i in range(PARSE_CACHE_ENTRIES + 2)]
+    for i, path in enumerate(paths):
+        save_motifs(4, [Motif(i, {(0, 1)}), Motif(i + 1, {(1, 2)})], path)
+    errors = []
+
+    def worker(k):
+        try:
+            for r in range(3000):
+                i = (k + r) % len(paths)
+                assert load_motifs(paths[i]) == (4, [Motif(i, {(0, 1)}), Motif(i + 1, {(1, 2)})])
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(graphs._parsed) <= PARSE_CACHE_ENTRIES
