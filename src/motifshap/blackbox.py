@@ -45,6 +45,7 @@ from .graphs import (
     Motif,
     _as_int,
     _node_pairs,
+    _pack_pairs,
     all_pairs,
     pack_edges,
     pair_index,
@@ -67,7 +68,21 @@ class BlackBox:
     """Base contract: deterministic evaluate(g) in [0,1] plus a batch
     entry point the lattice engine calls with deduplicated graphs. Every
     black box is a context manager whose exit calls close(), which frees
-    what it holds: nothing here, the child process of ExternalBlackBox."""
+    what it holds: nothing here, the child process of ExternalBlackBox.
+
+    n is the node count of the universe the black box is defined over, or
+    None when it declares none. check_universe refuses a graph over
+    another universe; the built-in black boxes call it in evaluate, and
+    serve calls it on a request's n before it decodes any edge. A black
+    box that declares no universe, such as a wrapper, is handed the
+    decoded graph and checks it in its own evaluate."""
+
+    n: int | None = None
+    kind = "black box"  # names the black box in a mismatch message
+
+    def check_universe(self, n: int) -> None:
+        if self.n is not None and n != self.n:
+            raise UniverseMismatchError(f"graph over {n} nodes, {self.kind} over {self.n}")
 
     def evaluate(self, g: Graph) -> float:
         raise NotImplementedError
@@ -97,6 +112,8 @@ class GroundTruthScorer(BlackBox):
     equally whatever order their edge sets iterate in.
     """
 
+    kind = "scorer"
+
     def __init__(self, n: int, motifs: Sequence[Motif],
                  importances: Sequence[float], beta: float = 2.0):
         if len(importances) != len(motifs):
@@ -116,9 +133,7 @@ class GroundTruthScorer(BlackBox):
         self._motif_bits = tuple(pack_edges(m.edges, n) for m in self.motifs)
 
     def evaluate(self, g: Graph) -> float:
-        if g.n != self.n:
-            raise UniverseMismatchError(
-                f"graph over {g.n} nodes, scorer over {self.n}")
+        self.check_universe(g.n)
         raw = 0.0
         for m, bits, u in zip(self.motifs, self._motif_bits, self.importances):
             if g.weights is None:
@@ -142,6 +157,8 @@ class TrainConfig:
 class LinearSurrogate(BlackBox):
     """Logistic model over the n*(n-1)/2 node-pair weight features."""
 
+    kind = "surrogate"
+
     def __init__(self, n: int, weights: np.ndarray, bias: float,
                  config: TrainConfig | None = None,
                  train_accuracy: float | None = None):
@@ -157,9 +174,7 @@ class LinearSurrogate(BlackBox):
         self.train_accuracy = train_accuracy
 
     def evaluate(self, g: Graph) -> float:
-        if g.n != self.n:
-            raise UniverseMismatchError(
-                f"graph over {g.n} nodes, surrogate over {self.n}")
+        self.check_universe(g.n)
         z = float(self.weights @ _feature_matrix((g,), self.n)[0]) + self.bias
         return sigmoid(z)
 
@@ -393,34 +408,44 @@ class ExternalBlackBox(BlackBox):
         proc.stdout.close()
 
 
-def _parse_wire_graph(obj: dict) -> Graph:
-    """Graph of one request, validated in one numpy pass over its edges
-    (node ids as the Graph constructor checks them, weights in [0, 1]);
-    an edge listed twice takes its last weight, and only weights other
-    than 1.0 are kept. Raises ValueError or ParameterError on an invalid
-    request, including an n that is not an integer. The edge bits are
-    packed on first read, after the black box has checked n."""
-    n = _as_int(obj["n"], "node count")
-    lo, hi, (w,) = _node_pairs(obj["edges"], n, width=3)
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != lo.shape or not np.all((w >= 0.0) & (w <= 1.0)):
+#: What decoding a malformed request raises (JSONDecodeError is a ValueError)
+_BAD_REQUEST = (LookupError, TypeError, ValueError, OverflowError, ParameterError)
+
+
+def _parse_wire_graph(n: int, edges: Sequence) -> Graph:
+    """Graph over n nodes of one request's edges, validated in one numpy
+    pass (node ids as the Graph constructor checks them, weights JSON
+    numbers in [0, 1]) and packed at once; an edge listed twice takes its
+    last weight, and only weights other than 1.0 are kept. Raises
+    ValueError or ParameterError on an invalid edge list."""
+    lo, hi, (col,) = _node_pairs(edges, n, width=3)
+    w = np.asarray(col)
+    # numpy reads a column of numbers and bools as numbers, so look for bools
+    if (w.shape != lo.shape or w.dtype.kind not in "fiu" or bool in map(type, col)
+            or not np.all((w >= 0.0) & (w <= 1.0))):
         raise ValueError("every edge weight must be a number in [0, 1]")
+    w = w.astype(np.float64)
     # the last listing of each pair: first occurrence in the reversed list
     _, last = np.unique(pair_index(lo, hi, n)[::-1], return_index=True)
     last = len(w) - 1 - last
     last = last[w[last] != 1.0]
     weights = dict(zip(zip(lo[last].tolist(), hi[last].tolist()), w[last].tolist()))
-    return Graph._trusted(n, (lo, hi), weights or None)
+    return Graph._trusted(n, _pack_pairs(lo, hi, n), weights or None)
 
 
 def serve(bb: BlackBox, stdin: IO[str] | None = None,
           stdout: IO[str] | None = None) -> None:
     """Run the server side of the wire protocol until end of input.
 
-    Replies in request order. A malformed line, including a request with a
-    self-loop, a node outside [0, n), an n that is negative or not an
-    integer, or a weight outside [0, 1], raises InputFormatError so the
-    CLI can exit with the format-error code instead of answering garbage."""
+    Replies in request order. Each request is checked in three steps. A
+    line that is not JSON, a missing id or n, or an n that is negative or
+    not an integer raises InputFormatError. Then an n other than the
+    black box's declared universe raises UniverseMismatchError, as
+    evaluate would, before any edge is decoded, so a huge n costs
+    nothing n-sized. Then a missing edge list, a self-loop, a node
+    outside [0, n), or a weight that is not a number in [0, 1] raises
+    InputFormatError. The CLI maps these to the usage and format-error
+    exit codes instead of answering garbage."""
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
 
@@ -439,15 +464,17 @@ def serve(bb: BlackBox, stdin: IO[str] | None = None,
         raise InputFormatError(f"bad handshake: {exc}") from exc
     reply({"ready": True})
 
-    for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
+    for line in filter(None, map(str.strip, stdin)):
         try:
             req = json.loads(line)
-            rid = req["id"]
-            g = _parse_wire_graph(req)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError,
-                OverflowError, ParameterError) as exc:
+            rid, n = req["id"], _as_int(req["n"], "node count")
+            if n < 0:
+                raise ParameterError("node count must be nonnegative")
+        except _BAD_REQUEST as exc:
+            raise InputFormatError(f"bad request: {exc}") from exc
+        bb.check_universe(n)
+        try:
+            g = _parse_wire_graph(n, req["edges"])
+        except _BAD_REQUEST as exc:
             raise InputFormatError(f"bad request: {exc}") from exc
         reply({"id": rid, "p": bb.evaluate(g)})

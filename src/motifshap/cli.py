@@ -141,6 +141,8 @@ def _load_correlation(spec: str, n_m: int) -> tuple[tuple[float, ...], ...] | No
         mat = [[0.0] * file_n_m for _ in range(file_n_m)]
         for item in entries:
             i, j = _as_int(item[0], "entry index"), _as_int(item[1], "entry index")
+            if type(item[2]) not in (int, float):  # so not a bool or a string
+                raise ValueError(f"correlation {item[2]!r} is not a number")
             c = float(item[2])
             if not 0 <= i < file_n_m or not 0 <= j < file_n_m:
                 raise ValueError(f"entry ({i}, {j}) out of range")
@@ -150,7 +152,7 @@ def _load_correlation(spec: str, n_m: int) -> tuple[tuple[float, ...], ...] | No
             mat[j][i] = c
         for i in range(file_n_m):
             mat[i][i] = 1.0
-    except (KeyError, TypeError, ValueError, IndexError, ParameterError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, ParameterError) as exc:
         raise InputFormatError(f"{spec}: malformed correlation file: {exc}") from exc
     if file_n_m != n_m:
         raise ParameterError(

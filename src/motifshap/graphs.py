@@ -170,25 +170,13 @@ class Graph:
         return cls(n, edges, weights)
 
     @classmethod
-    def _trusted(cls, n: int, edge_bits: int | tuple[np.ndarray, np.ndarray],
+    def _trusted(cls, n: int, edge_bits: int,
                  weights: dict[Edge, float] | None = None) -> "Graph":
-        """Graph from valid parts, unchecked: weights in [0, 1) on edges
-        only, or None; edge_bits packed, or node columns from _node_pairs that are
-        packed on first read, so that a wire request over a huge universe
-        allocates nothing n-sized before the black box has checked n."""
+        """Graph from valid parts, unchecked: edge_bits packed, and weights
+        in [0, 1) on edges only, or None."""
         g = object.__new__(cls)
-        g.__dict__.update(n=n, weights=weights)
-        g.__dict__["edge_bits" if isinstance(edge_bits, int) else "_pairs"] = edge_bits
+        g.__dict__.update(n=n, edge_bits=edge_bits, weights=weights)
         return g
-
-    def __getattr__(self, name: str):
-        # reached only for an attribute that is not set, such as the
-        # edge_bits of a graph given node columns before its first read
-        pairs = self.__dict__.get("_pairs") if name == "edge_bits" else None
-        if pairs is None:
-            raise AttributeError(f"'Graph' object has no attribute {name!r}")
-        bits = self.__dict__["edge_bits"] = _pack_pairs(*pairs, self.n)
-        return bits
 
     def sorted_edges(self) -> list[Edge]:
         """The edges in ascending (u, v) order, which is pair_index order."""

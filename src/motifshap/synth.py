@@ -74,12 +74,17 @@ class SynthConfig:
                         raise ParameterError("correlation diagonal must be 1")
             object.__setattr__(self, "correlation", c)
 
+    def _sampled(self) -> tuple[int, int] | None:
+        """motif_spec when it is a (count, edges_per_motif) pair, else None."""
+        spec = self.motif_spec
+        if isinstance(spec, tuple) and len(spec) == 2 and all(isinstance(x, int) for x in spec):
+            return spec
+        return None
+
     @property
     def n_motifs(self) -> int:
-        if isinstance(self.motif_spec, tuple) and len(self.motif_spec) == 2 \
-                and all(isinstance(x, int) for x in self.motif_spec):
-            return self.motif_spec[0]
-        return len(self.motif_spec)
+        sampled = self._sampled()
+        return sampled[0] if sampled else len(self.motif_spec)
 
     def correlation_array(self) -> np.ndarray:
         if self.correlation is None:
@@ -159,10 +164,9 @@ def generate(cfg: SynthConfig) -> tuple[LabeledDataset, InjectionRecord, tuple[M
     seq = np.random.SeedSequence(cfg.seed)
     seq_r, seq_er, seq_motifs = seq.spawn(3)
 
-    if isinstance(cfg.motif_spec, tuple) and len(cfg.motif_spec) == 2 \
-            and all(isinstance(x, int) for x in cfg.motif_spec):
-        n_m, m_e = cfg.motif_spec
-        motifs = sample_motifs(cfg.n, n_m, m_e, _philox(seq_motifs))
+    sampled = cfg._sampled()
+    if sampled:
+        motifs = sample_motifs(cfg.n, *sampled, _philox(seq_motifs))
     else:
         motifs = tuple(cfg.motif_spec)
     n_m = len(motifs)

@@ -127,6 +127,19 @@ def test_synth_correlation_file_needs_integers(tmp_path, capsys, corr):
     assert not (tmp_path / "data.json").exists()
 
 
+@pytest.mark.parametrize("value,detail", [
+    ("0.5", "not a number"), (True, "not a number"), (None, "not a number"),
+    (10 ** 400, "too large"),
+])
+def test_synth_correlation_must_be_a_number(tmp_path, capsys, value, detail):
+    corr_path = tmp_path / "corr.json"
+    corr_path.write_text(json.dumps({"n_m": 3, "entries": [[0, 1, value]]}))
+    assert run(_synth_args(tmp_path) + ["--corr", str(corr_path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputFormatError" and detail in err["detail"]
+    assert not (tmp_path / "data.json").exists()
+
+
 def test_mine_and_rank_roundtrip(synth_files, tmp_path):
     data_path, _ = synth_files
     mined_path = tmp_path / "mined.json"
@@ -520,6 +533,19 @@ def test_blackbox_serve_invalid_request_exits_3(synth_files, monkeypatch, capsys
     code = run(["blackbox-serve", "--motifs", str(motif_path), "--rho", "0.2,0.6,1.0"])
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"] == "InputFormatError"
+
+
+def test_blackbox_serve_request_over_another_universe_exits_2(synth_files, monkeypatch,
+                                                              capsys):
+    # the universe is checked before the edges, so the self-loop goes unread
+    _, motif_path = synth_files
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        '{"hello":"motif-shap/1"}\n{"id":0,"n":31,"edges":[[1,1,1.0]]}\n'))
+    code = run(["blackbox-serve", "--motifs", str(motif_path), "--rho", "0.2,0.6,1.0"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "UniverseMismatchError",
+                   "detail": "graph over 31 nodes, scorer over 30"}
 
 
 def _discovery_stages(d):

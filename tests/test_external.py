@@ -6,14 +6,17 @@ import json
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from motifshap import (
+    BlackBox,
     ExternalBlackBox,
     Graph,
     GroundTruthScorer,
     InputFormatError,
     LabeledDataset,
+    LinearSurrogate,
     MaskingStrategy,
     Motif,
     SynthConfig,
@@ -358,6 +361,14 @@ def test_serve_empty_input_returns_quietly():
     '{"id": 0, "n": 4, "edges": [[0, 1, 1.0], [true, 2, 1.0]]}',
     '{"id": 0, "n": 4.5, "edges": [[0, 1, 1.0]]}',
     '{"id": 0, "n": 5.5, "edges": [[0, 1, 1.0]]}',
+    '{"id": 0, "n": 4, "edges": [[0, 1, "0.5"]]}',
+    '{"id": 0, "n": 4, "edges": [[0, 1, true]]}',
+    '{"id": 0, "n": 4, "edges": [[0, 1, 0.5], [1, 2, false]]}',
+    '{"id": 0, "n": 4, "edges": [[0, 1, null]]}',
+    '{"id": 0, "n": 4, "edges": [[0, 1, NaN]]}',
+    '{"id": 0, "n": 4}',
+    '{"n": 5, "edges": []}',
+    '{"id": 0, "n": -4, "edges": [[1, 1, 1.0]]}',
 ])
 def test_serve_rejects_invalid_wire_graph(request_line):
     bb = GroundTruthScorer(4, [Motif(0, frozenset({(0, 1)}), 1)], [1.0])
@@ -379,10 +390,57 @@ def test_serve_edge_listed_in_both_orientations_takes_last_weight():
 
 
 def test_serve_request_over_another_universe_is_a_mismatch():
-    # the edge bits of a served graph are packed only after the black box
-    # has checked n, so a huge n costs no n-sized allocation
+    # serve refuses the request's n before it decodes any edge, so a huge
+    # n costs no n-sized allocation
     bb = GroundTruthScorer(4, [Motif(0, frozenset({(0, 1)}), 1)], [1.0])
     stdin = io.StringIO('{"hello": "motif-shap/1"}\n'
                         '{"id": 0, "n": 1000000000000, "edges": [[0, 1, 1.0]]}\n')
     with pytest.raises(UniverseMismatchError):
+        serve(bb, stdin, io.StringIO())
+
+
+@pytest.mark.parametrize("request_line", [
+    '{"id": 0, "n": 5, "edges": [[1, 1, 1.0]]}',
+    '{"id": 0, "n": 5, "edges": [[0, 1, "0.5"]]}',
+    '{"id": 0, "n": 5, "edges": [[0, 1]]}',
+    '{"id": 0, "n": 5}',
+])
+def test_serve_checks_the_universe_before_the_edges(request_line):
+    bb = GroundTruthScorer(4, [Motif(0, frozenset({(0, 1)}), 1)], [1.0])
+    stdin = io.StringIO('{"hello": "motif-shap/1"}\n' + request_line + "\n")
+    with pytest.raises(UniverseMismatchError, match="graph over 5 nodes, scorer over 4"):
+        serve(bb, stdin, io.StringIO())
+
+
+def test_served_surrogate_over_another_universe_keeps_its_detail():
+    bb = LinearSurrogate(4, np.zeros(6), 0.0)
+    stdin = io.StringIO('{"hello": "motif-shap/1"}\n'
+                        '{"id": 0, "n": 5, "edges": [[0, 1, 1.0]]}\n')
+    with pytest.raises(UniverseMismatchError) as err:
+        serve(bb, stdin, io.StringIO())
+    assert str(err.value) == "graph over 5 nodes, surrogate over 4"
+
+
+class _Forwarding(BlackBox):
+    """A wrapper that declares no universe, as a timing wrapper does."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def evaluate(self, g):
+        return self.inner.evaluate(g)
+
+
+def test_serve_a_black_box_that_declares_no_universe():
+    inner = GroundTruthScorer(4, [Motif(0, frozenset({(0, 1)}), 1)], [1.0])
+    bb = _Forwarding(inner)
+    assert bb.n is None
+    out = io.StringIO()
+    serve(bb, io.StringIO('{"hello": "motif-shap/1"}\n'
+                          '{"id": 0, "n": 4, "edges": [[0, 1, 0.5]]}\n'), out)
+    reply = json.loads(out.getvalue().splitlines()[1])
+    assert reply == {"id": 0, "p": inner.evaluate(Graph(4, [(0, 1)], {(0, 1): 0.5}))}
+    stdin = io.StringIO('{"hello": "motif-shap/1"}\n'
+                        '{"id": 0, "n": 5, "edges": [[0, 1, 1.0]]}\n')
+    with pytest.raises(UniverseMismatchError, match="scorer over 4"):
         serve(bb, stdin, io.StringIO())

@@ -120,7 +120,7 @@ def test_graph_equality_and_hash_agree_across_constructors(tmp_path):
     toggled = MaskingStrategy.toggle().mask(
         Graph(n, [(0, 1), (2, 4), (0, 5)]),
         [Motif(0, frozenset({(0, 5), (3, 5)})), Motif(1, frozenset({(1, 4)}))])
-    wire = _parse_wire_graph({"n": n, "edges": [[u, v, 1.0] for v, u in edges]})
+    wire = _parse_wire_graph(n, [[u, v, 1.0] for v, u in edges])
     built = [Graph(n, frozenset(edges)), Graph.from_edges(n, reversed(edges)),
              toggled, load_graph_file(path), wire,
              Graph(n, edges, dict.fromkeys(edges, 1.0))]
@@ -142,8 +142,8 @@ def test_graph_equality_and_hash_agree_across_constructors(tmp_path):
     averaged = MaskingStrategy.average(background).mask(
         Graph(n, [(0, 1), (2, 4)], {(2, 4): 0.75}),
         [Motif(0, frozenset({(3, 5)})), Motif(1, frozenset({(1, 4)}))])
-    wire = _parse_wire_graph({"n": n, "edges": [[v, u, weights.get((u, v), 1.0)]
-                                                for u, v in reversed(edges)]})
+    wire = _parse_wire_graph(n, [[v, u, weights.get((u, v), 1.0)]
+                                 for u, v in reversed(edges)])
     built = [Graph(n, edges, {(v, u): w for (u, v), w in reversed(weights.items())}),
              averaged, wire]
     for g in built:
