@@ -118,14 +118,14 @@ class GroundTruthScorer(BlackBox):
                  importances: Sequence[float], beta: float = 2.0):
         if len(importances) != len(motifs):
             raise ConfigurationError("one importance per motif required")
-        if beta <= 0:
-            raise ConfigurationError("steepness beta must be positive")
+        if not (beta > 0 and math.isfinite(beta)):
+            raise ConfigurationError(f"steepness beta must be positive and finite, got {beta}")
         for m in motifs:
             if m.class_sign is None:
                 raise ConfigurationError(f"motif {m.id} has no class sign")
         for u in importances:
-            if u < 0:
-                raise ConfigurationError("importances must be nonnegative")
+            if not (u >= 0 and math.isfinite(u)):
+                raise ConfigurationError(f"importances must be nonnegative and finite, got {u}")
         self.n = n
         self.motifs = tuple(motifs)
         self.importances = tuple(float(u) for u in importances)
@@ -152,6 +152,10 @@ class TrainConfig:
 
     learning_rate: float = 0.5
     epochs: int = 300
+
+    def __post_init__(self):
+        if not math.isfinite(self.learning_rate):
+            raise ConfigurationError(f"learning rate must be finite, got {self.learning_rate}")
 
 
 class LinearSurrogate(BlackBox):
@@ -262,16 +266,19 @@ class ExternalBlackBox(BlackBox):
     up to WINDOW requests are in flight: evaluate(g) sends g first if it
     is not sent yet, then the batch's next graphs until WINDOW are
     unanswered, then reads g's reply. A standalone evaluate(g) keeps one
-    request in flight. The timeout bounds each write and each read. Any
-    deviation (process exit, malformed reply, id mismatch, out-of-range
-    p, timeout) raises TransportError; there are no silent fallbacks. A
-    timeout, or an error that leaves requests unanswered, ends the child,
-    so no late reply is read as the answer to a later request.
+    request in flight. The timeout, a positive finite number of seconds,
+    bounds each write and each read. Any deviation (process exit,
+    malformed reply, id mismatch, out-of-range p, timeout) raises
+    TransportError; there are no silent fallbacks. A timeout, or an error
+    that leaves requests unanswered, ends the child, so no late reply is
+    read as the answer to a later request.
     """
 
     def __init__(self, command: Sequence[str], timeout: float = 30.0):
         if not command:
             raise ConfigurationError("external black-box command is empty")
+        if not (timeout > 0 and math.isfinite(timeout)):
+            raise ConfigurationError(f"timeout must be positive and finite, got {timeout}")
         self.command = list(command)
         self.timeout = float(timeout)
         self._next_id = 0

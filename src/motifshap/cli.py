@@ -39,8 +39,8 @@ from .engine import (
     DEFAULT_EXACT_LIMIT,
     Explanation,
     WeightingScheme,
-    _check_exact_limit,
     approx_explain,
+    check_request,
     exact_explain,
     explain_depths,
 )
@@ -49,6 +49,7 @@ from .errors import (
     MotifShapError,
     ParameterError,
     UndefinedCorrelationError,
+    UniverseMismatchError,
 )
 from .graphs import (
     Graph,
@@ -184,8 +185,10 @@ def _add_blackbox_flags(p: argparse.ArgumentParser, serve_mode: bool = False) ->
                        help="external black-box timeout in seconds, per write and per read")
 
 
-def _build_blackbox(args: argparse.Namespace, n: int, motifs: Sequence[Motif],
+def _build_blackbox(args: argparse.Namespace, n: int | None, motifs: Sequence[Motif],
                     inputs: list[str]) -> BlackBox:
+    """The black box args name. n is the motifs' node universe, which a
+    training set must match, or None when there are no motifs."""
     if args.blackbox == "scorer":
         if args.rho is None:
             raise ParameterError(
@@ -200,6 +203,9 @@ def _build_blackbox(args: argparse.Namespace, n: int, motifs: Sequence[Motif],
         if train_path not in inputs:
             inputs.append(train_path)
         train_data = load_dataset(train_path)
+        if n is not None and train_data.n != n:
+            raise UniverseMismatchError(
+                f"training set over {train_data.n} nodes, motifs over {n}")
         cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs)
         return train_linear_surrogate(train_data, cfg)
     command = shlex.split(args.external_cmd or "")
@@ -249,9 +255,6 @@ def _explain_job(args: argparse.Namespace, depths: str | None) -> _ExplainJob:
         except ValueError as exc:
             raise ParameterError(
                 f"--depth must be 'exact' or an integer, got {args.depth!r}") from exc
-    for d in parsed:
-        if d != "exact" and not 1 <= d <= len(motifs):
-            raise ParameterError(f"depth {d} out of range [1, {len(motifs)}]")
 
     spec = getattr(args, "graph", "all")  # eval explains the dataset's graphs
     index = None
@@ -278,8 +281,10 @@ def _explain_job(args: argparse.Namespace, depths: str | None) -> _ExplainJob:
         raise ParameterError(f"graph index {index} out of range [0, {len(dataset)})")
     else:
         graphs = [(index, dataset.graphs[index])]
-    if graphs and (depths is not None or parsed == ["exact"]):  # no graph, no lattice
-        _check_exact_limit(len(motifs), args.exact_limit)
+    exact = parsed == ["exact"]
+    lattice = graphs and (depths is not None or exact)  # no graph, no lattice
+    check_request(n, motifs, [] if exact else parsed,
+                  args.exact_limit if lattice else None)
     return _ExplainJob(n, motifs, graphs, parsed, strategy, weighting, inputs)
 
 
@@ -464,6 +469,7 @@ def _cmd_eval_approx_corr(args: argparse.Namespace) -> int:
 
 def _cmd_eval_global(args: argparse.Namespace) -> int:
     job = _explain_job(args, None)
+    rho = _parse_rho(args.rho) if args.rho else None
     with _build_blackbox(args, job.n, job.motifs, job.inputs) as bb:
         explanations = _explain_graphs(args, job, bb)
 
@@ -473,7 +479,6 @@ def _cmd_eval_global(args: argparse.Namespace) -> int:
     for mid, _ in ranking:
         pos = position[mid]
         signed[mid] = sum(ex.scores[pos] for ex in explanations) / len(explanations)
-    rho = _parse_rho(args.rho) if args.rho else None
     entries = []
     for mid, mean_abs in ranking:
         entry = {"motif": mid, "mean_abs_xi": mean_abs, "mean_xi": signed[mid]}
@@ -515,7 +520,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_blackbox_serve(args: argparse.Namespace) -> int:
-    n, motifs = 0, []
+    n, motifs = None, []  # a surrogate serves its training set's universe
     if args.blackbox == "scorer":
         if args.motifs is None:
             raise ParameterError("blackbox-serve --blackbox scorer needs --motifs")

@@ -149,16 +149,28 @@ def _graph_key(g: Graph):
     return g.edge_bits if g.weights is None else (g.edge_bits, frozenset(g.weights.items()))
 
 
-def _check_motifs(g: Graph, motifs: Sequence[Motif]) -> None:
+def check_request(n: int, motifs: Sequence[Motif], depths: Sequence[int] = (),
+                  exact_limit: int | None = None) -> None:
+    """Raise unless the request has motifs with unique ids inside the n-node
+    universe and each depth in [1, |M|]; exact_limit, given when the full
+    lattice is needed, bounds |M| (LatticeTooLargeError)."""
     if not motifs:
         raise ParameterError("at least one motif is required")
-    ids = [m.id for m in motifs]
+    ids = [mot.id for mot in motifs]
     if len(set(ids)) != len(ids):
         raise ParameterError(f"duplicate motif ids: {sorted(ids)}")
-    for m in motifs:
-        if m.max_node() >= g.n:
+    for mot in motifs:
+        if mot.max_node() >= n:
             raise UniverseMismatchError(
-                f"motif {m.id} exceeds the graph's node universe [0, {g.n})")
+                f"motif {mot.id} exceeds the graph's node universe [0, {n})")
+    m = len(motifs)
+    for d in depths:
+        if not 1 <= d <= m:
+            raise ParameterError(f"depth must be in [1, {m}], got {d}")
+    if exact_limit is not None and m > exact_limit:
+        raise LatticeTooLargeError(
+            f"{m} motifs means 2^{m} coalitions, above the limit of "
+            f"{exact_limit}; use approx_explain with a depth bound")
 
 
 def evaluate_lattice(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
@@ -265,25 +277,16 @@ def _explain(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
     return ex
 
 
-def _check_exact_limit(m: int, exact_limit: int) -> None:
-    if m > exact_limit:
-        raise LatticeTooLargeError(
-            f"{m} motifs means 2^{m} coalitions, above the limit of "
-            f"{exact_limit}; use approx_explain with a depth bound")
-
-
 def exact_explain(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
                   strategy: MaskingStrategy,
                   weighting: WeightingScheme | None = None,
                   graph_id: int = 0,
                   exact_limit: int = DEFAULT_EXACT_LIMIT) -> Explanation:
     """Exact scores over the full coalition lattice (2^|M| coalitions)."""
-    _check_motifs(g, motifs)
-    m = len(motifs)
-    _check_exact_limit(m, exact_limit)
+    check_request(g.n, motifs, exact_limit=exact_limit)
     weighting = weighting or WeightingScheme.classic()
     return _explain(g, bb, motifs, strategy, weighting,
-                    depth=m, depth_label="exact", graph_id=graph_id,
+                    depth=len(motifs), depth_label="exact", graph_id=graph_id,
                     normalize=False)
 
 
@@ -296,10 +299,7 @@ def approx_explain(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
     """Depth-limited scores: only marginal terms for masked sets within
     distance ``depth`` of the fully-masked coalition are summed. At
     depth = |M| the result equals exact_explain bit for bit."""
-    _check_motifs(g, motifs)
-    m = len(motifs)
-    if not 1 <= depth <= m:
-        raise ParameterError(f"depth must be in [1, {m}], got {depth}")
+    check_request(g.n, motifs, [depth])
     weighting = weighting or WeightingScheme.classic()
     return _explain(g, bb, motifs, strategy, weighting,
                     depth=depth, depth_label=depth, graph_id=graph_id,
@@ -316,12 +316,8 @@ def explain_depths(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
     """Exact scores and the depth-limited scores at each of depths, all
     from one evaluation of the full lattice (2^|M| coalitions). Each
     depth's explanation equals approx_explain's without normalize."""
-    _check_motifs(g, motifs)
+    check_request(g.n, motifs, depths, exact_limit)
     m = len(motifs)
-    _check_exact_limit(m, exact_limit)
-    for d in depths:
-        if not 1 <= d <= m:
-            raise ParameterError(f"depth must be in [1, {m}], got {d}")
     weighting = weighting or WeightingScheme.classic()
     lattice = evaluate_lattice(g, bb, motifs, strategy, _masks_at_least(m, 0))
     exact = _explanation(lattice, motifs, strategy, weighting, "exact", graph_id)

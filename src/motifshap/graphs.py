@@ -510,19 +510,24 @@ def _cached_load(path: str | os.PathLike, kind: str, parse) -> object:
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """Write text to path atomically (UTF-8 in a temp file in the same
-    directory, then rename), and record the digest of the bytes written."""
+    directory, then rename), and record the digest of the bytes written.
+    A path that cannot be written raises ParameterError, and no temp file
+    is left behind."""
     path = os.fspath(path)
     data = text.encode("utf-8")
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
     _digests[path] = hashlib.sha256(data).hexdigest()
 
 

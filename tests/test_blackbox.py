@@ -81,6 +81,11 @@ def test_scorer_validation():
         GroundTruthScorer(4, [TRIANGLE], [-1.0])
     with pytest.raises(ConfigurationError):
         GroundTruthScorer(4, [TRIANGLE], [1.0], beta=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="importances"):
+            GroundTruthScorer(4, [TRIANGLE], [bad])
+        with pytest.raises(ConfigurationError, match="beta"):
+            GroundTruthScorer(4, [TRIANGLE], [1.0], beta=bad)
     with pytest.raises(ConfigurationError):
         GroundTruthScorer(4, [Motif(0, frozenset({(0, 1)}))], [1.0])
     with pytest.raises(UniverseMismatchError):
@@ -181,6 +186,12 @@ def test_surrogate_rejects_single_class_data():
         train_linear_surrogate(LabeledDataset(3, (g, g), (1, 1)))
     with pytest.raises(DegenerateTrainingError):
         train_linear_surrogate(LabeledDataset(3, (), ()))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_train_config_rejects_a_non_finite_learning_rate(bad):
+    with pytest.raises(ConfigurationError, match="learning rate"):
+        TrainConfig(learning_rate=bad)
 
 
 def test_surrogate_weight_vector_dimension_checked():

@@ -287,9 +287,10 @@ def test_depth_is_checked_before_the_blackbox_is_built(synth_files, tmp_path, ca
     (["eval", "global", "--dataset", "{data}", "--exact-limit", "2"], "LatticeTooLargeError"),
     (["eval", "approx-corr", "--dataset", "{data}", "--depths", "1", "--exact-limit", "2"],
      "LatticeTooLargeError"),
+    (["eval", "global", "--dataset", "{data}", "--rho", "abc"], "ParameterError"),
 ], ids=["all-without-dataset", "index-out-of-range", "file-over-31-nodes",
         "global-limit-0", "approx-corr-limit-0", "explain-exact-limit",
-        "global-exact-limit", "approx-corr-exact-limit"])
+        "global-exact-limit", "approx-corr-exact-limit", "global-rho"])
 def test_usage_is_checked_before_the_blackbox_is_built(synth_files, tmp_path, capsys,
                                                        monkeypatch, command, error):
     data_path, motif_path = synth_files
@@ -308,6 +309,81 @@ def test_usage_is_checked_before_the_blackbox_is_built(synth_files, tmp_path, ca
     train = [] if "--dataset" in command else ["--train-dataset", str(data_path)]
     assert run(args + ["--blackbox", "surrogate"] + train) == 2
     assert json.loads(capsys.readouterr().err)["error"] == error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, detail", [
+    ("duplicate-ids", "duplicate motif ids: [{0}, {0}, {1}]"),
+    ("empty", "at least one motif is required"),
+], ids=["duplicate-ids", "empty"])
+@pytest.mark.parametrize("command", [
+    ["explain", "--graph", "all"], ["eval", "global"], ["eval", "approx-corr", "--depths", "1"],
+], ids=["explain", "global", "approx-corr"])
+def test_a_bad_motif_file_is_refused_before_the_blackbox_is_built(
+        synth_files, tmp_path, capsys, monkeypatch, command, kind, detail):
+    data_path, motif_path = synth_files
+    doc = json.loads(motif_path.read_text())
+    ids = [m["id"] for m in doc["motifs"]]
+    if kind == "empty":
+        doc["motifs"] = []
+    else:
+        doc["motifs"][2]["id"] = ids[0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    detail = detail.format(*sorted(ids))
+    no_graphs = tmp_path / "no-graphs.json"
+    no_graphs.write_text(json.dumps({"n": 30, "graphs": []}))
+    out = tmp_path / "x.json"
+    monkeypatch.setattr(motifshap.cli, "train_linear_surrogate",
+                        lambda *a, **k: pytest.fail("surrogate trained"))
+    missing = ["--blackbox", "external", "--external-cmd", str(tmp_path / "missing")]
+    # the request is refused even when there is no graph to explain
+    for dataset in (data_path, no_graphs):
+        args = command + ["--dataset", str(dataset), "--motifs", str(bad), "--out", str(out)]
+        for blackbox in (missing, ["--blackbox", "surrogate"]):
+            assert run(args + blackbox) == 2
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "ParameterError", "detail": detail}
+    assert not out.exists()
+
+
+def test_a_training_set_over_another_universe_is_refused_before_training(
+        synth_files, tmp_path, capsys, monkeypatch):
+    data_path, motif_path = synth_files
+    train = tmp_path / "train40.json"
+    train.write_text(json.dumps({"n": 40, "graphs": [{"label": 0, "edges": [[0, 1]]},
+                                                      {"label": 1, "edges": [[0, 39]]}]}))
+    monkeypatch.setattr(motifshap.cli, "train_linear_surrogate",
+                        lambda *a, **k: pytest.fail("surrogate trained"))
+    out = tmp_path / "x.json"
+    assert run(["explain", "--motifs", str(motif_path), "--dataset", str(data_path),
+                "--graph", "0", "--blackbox", "surrogate", "--train-dataset", str(train),
+                "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "UniverseMismatchError", "detail": "training set over 40 nodes, motifs over 30"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--rho", "nan,0.6,1.0"],
+    ["--rho", "0.2,inf,1.0"],
+    ["--rho", "0.2,0.6,1.0", "--beta", "nan"],
+    ["--rho", "0.2,0.6,1.0", "--beta", "inf"],
+    ["--blackbox", "surrogate", "--lr", "nan", "--epochs", "5"],
+    ["--blackbox", "surrogate", "--lr", "inf", "--epochs", "5"],
+    ["--blackbox", "external", "--external-cmd", "{missing}", "--timeout", "nan"],
+    ["--blackbox", "external", "--external-cmd", "{missing}", "--timeout", "-1"],
+    ["--blackbox", "external", "--external-cmd", "{missing}", "--timeout", "0"],
+], ids=["rho-nan", "rho-inf", "beta-nan", "beta-inf", "lr-nan", "lr-inf",
+        "timeout-nan", "timeout-negative", "timeout-zero"])
+def test_invalid_blackbox_parameters_exit_2(synth_files, tmp_path, capsys, flags):
+    data_path, motif_path = synth_files
+    out = tmp_path / "x.json"
+    flags = [f.format(missing=tmp_path / "missing") for f in flags]
+    # a timeout is checked before the command is started, which would exit 4
+    assert run(["explain", "--motifs", str(motif_path), "--dataset", str(data_path),
+                "--graph", "0", "--out", str(out)] + flags) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigurationError"
     assert not out.exists()
 
 
@@ -378,6 +454,18 @@ def test_eval_separability(synth_files, tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "ks_statistic,p_value,n_intra,n_inter"
     assert len(lines) == 2
+
+
+def test_an_unwritable_output_exits_2(synth_files, tmp_path, capsys):
+    data_path, _ = synth_files
+    out = tmp_path / "nodir" / "sep.json"
+    assert run(["eval", "separability", "--dataset", str(data_path),
+                "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ParameterError"
+    assert err["detail"].startswith(f"cannot write {out}: ")
 
 
 def test_eval_expected(synth_files, tmp_path):

@@ -258,6 +258,31 @@ def test_exact_limit_guardrail():
         exact_explain(g, bb, motifs[:5], MaskingStrategy.remove(), exact_limit=4)
 
 
+def test_every_entry_point_refuses_a_bad_request_before_its_first_query():
+    g, scorer, motifs = _instance(52)
+    bb = CountingScorer(g.n, motifs, scorer.importances)
+    strat = MaskingStrategy.remove()
+    dup = [motifs[0], Motif(motifs[0].id, motifs[1].edges)]
+    far = list(motifs) + [Motif(99, frozenset({(20, 21)}))]
+    for bad, error in [([], ParameterError), (dup, ParameterError),
+                       (far, UniverseMismatchError)]:
+        with pytest.raises(error):
+            engine.check_request(g.n, bad)
+        with pytest.raises(error):
+            exact_explain(g, bb, bad, strat)
+        with pytest.raises(error):
+            approx_explain(g, bb, bad, strat, depth=1)
+        with pytest.raises(error):
+            explain_depths(g, bb, bad, strat, depths=[1])
+    for depth in (0, 4):
+        with pytest.raises(ParameterError, match=rf"depth must be in \[1, 3\], got {depth}"):
+            explain_depths(g, bb, motifs, strat, depths=[1, depth])
+    with pytest.raises(LatticeTooLargeError):
+        explain_depths(g, bb, motifs, strat, depths=[1], exact_limit=2)
+    engine.check_request(g.n, motifs, [1, 3], exact_limit=3)
+    assert bb.calls == 0
+
+
 def test_query_counts_match_budget_with_distinct_coalitions():
     # node-disjoint motifs + toggle => every coalition graph distinct
     n = 20

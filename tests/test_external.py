@@ -11,6 +11,7 @@ import pytest
 
 from motifshap import (
     BlackBox,
+    ConfigurationError,
     ExternalBlackBox,
     Graph,
     GroundTruthScorer,
@@ -292,6 +293,13 @@ def test_failure_mid_window_ends_the_child(tmp_path):
 def test_missing_command_rejected(tmp_path):
     with pytest.raises(TransportError):
         ExternalBlackBox([str(tmp_path / "does-not-exist")])
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0])
+def test_bad_timeout_rejected_before_the_command_starts(tmp_path, timeout):
+    # a started command would raise TransportError: it does not exist
+    with pytest.raises(ConfigurationError, match="timeout"):
+        ExternalBlackBox([str(tmp_path / "does-not-exist")], timeout=timeout)
 
 
 def test_serve_loop_in_process():

@@ -533,6 +533,17 @@ def test_a_second_read_of_the_same_bytes_parses_nothing(tmp_path, parses):
     assert parses == [("dataset", str(a))] * 2
 
 
+def test_an_unwritable_path_is_a_parameter_error_and_leaves_no_temp_file(tmp_path):
+    (tmp_path / "adir").mkdir()
+    # no directory for the temp file; a temp file that cannot replace a directory
+    for path in (tmp_path / "nodir" / "x.json", tmp_path / "adir"):
+        with pytest.raises(ParameterError) as exc:
+            atomic_write_text(path, "{}")
+        assert str(exc.value).startswith(f"cannot write {path}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
 def test_digests_are_of_the_bytes_read_and_written(tmp_path):
     path = tmp_path / "g.json"
     atomic_write_text(path, '{"n": 2, "edges": [[0, 1]]}\u00e9')
