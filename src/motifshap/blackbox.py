@@ -154,8 +154,13 @@ class TrainConfig:
     epochs: int = 300
 
     def __post_init__(self):
-        if not math.isfinite(self.learning_rate):
-            raise ConfigurationError(f"learning rate must be finite, got {self.learning_rate}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ConfigurationError(
+                f"learning rate must be positive and finite, got {self.learning_rate}")
+        epochs = self.epochs
+        if isinstance(epochs, bool) or not isinstance(epochs, (int, np.integer)) or epochs < 0:
+            raise ConfigurationError(
+                f"epochs must be a nonnegative integer, got {epochs!r}")
 
 
 class LinearSurrogate(BlackBox):

@@ -470,6 +470,8 @@ def _cmd_eval_approx_corr(args: argparse.Namespace) -> int:
 def _cmd_eval_global(args: argparse.Namespace) -> int:
     job = _explain_job(args, None)
     rho = _parse_rho(args.rho) if args.rho else None
+    if not job.graphs:
+        raise ParameterError("no explanations to aggregate")
     with _build_blackbox(args, job.n, job.motifs, job.inputs) as bb:
         explanations = _explain_graphs(args, job, bb)
 

@@ -13,6 +13,14 @@ terms whose masked sets lie within distance d of the fully-masked
 lattice node (|S| >= |M| - d) and at d = |M| reproduces the exact result
 bit for bit.
 
+Coalitions whose masked graphs are identical are merged into one query.
+evaluate_lattice keys each coalition by lookups in its MaskTables
+(masking.py): the OR of one table entry per chunk of masking.CHUNK motifs,
+an int of at most sum(|motif|) bits that is equal for two coalitions
+exactly when their masked graphs are. A masked graph is built only for a
+key not seen before, so the black box sees the distinct graphs in
+first-occurrence order, in batches of BATCH_SIZE.
+
 Each score is one math.fsum over its marginal terms. fsum is correctly
 rounded, so the result does not depend on the order of the terms or of
 the evaluations.
@@ -35,7 +43,7 @@ from .errors import (
     UniverseMismatchError,
 )
 from .graphs import Graph, Motif
-from .masking import MaskingStrategy
+from .masking import MaskingStrategy, MaskTables
 
 #: Largest motif set exact_explain will enumerate (2^20 coalitions).
 DEFAULT_EXACT_LIMIT = 20
@@ -143,12 +151,6 @@ def query_budget(n_motifs: int, depth: int | str) -> int:
     return sum(math.comb(n_motifs, k) for k in range(min(d, n_motifs) + 1))
 
 
-def _graph_key(g: Graph):
-    """Content key of a masked graph: its edge bits, plus, when it is
-    weighted, its weights (which list only weights other than 1.0)."""
-    return g.edge_bits if g.weights is None else (g.edge_bits, frozenset(g.weights.items()))
-
-
 def check_request(n: int, motifs: Sequence[Motif], depths: Sequence[int] = (),
                   exact_limit: int | None = None) -> None:
     """Raise unless the request has motifs with unique ids inside the n-node
@@ -177,21 +179,23 @@ def evaluate_lattice(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
                      strategy: MaskingStrategy,
                      masks: Sequence[int]) -> CoalitionLattice:
     """Evaluate the black box on the given masked-set bitmasks (ascending),
-    merging coalitions whose masked graphs are identical. Distinct graphs go
-    to bb.evaluate_batch in batches of BATCH_SIZE as they are found."""
+    merging coalitions whose masked graphs are identical. Each coalition is
+    keyed by table lookups (MaskTables.key), and a masked graph is built
+    only for a key not seen before. Distinct graphs go to bb.evaluate_batch
+    in first-occurrence order, in batches of BATCH_SIZE as they are found."""
     m = len(motifs)
-    slot_by_key: dict = {}
+    tables = MaskTables(strategy, g, motifs)
+    key_of, graph_of = tables.key, tables.graph
+    slot_by_key: dict[int, int] = {}
     slots = np.empty(len(masks), dtype=np.int64)
     slot_values: list[float] = []
     pending: list[Graph] = []
     for j, mask in enumerate(masks):
-        subset = [motifs[i] for i in range(m) if mask >> i & 1]
-        masked = strategy.mask(g, subset)
-        key = _graph_key(masked)
+        key = key_of(mask)
         slot = slot_by_key.get(key)
         if slot is None:
             slot = slot_by_key[key] = len(slot_by_key)
-            pending.append(masked)
+            pending.append(graph_of(mask))
             if len(pending) == BATCH_SIZE:
                 slot_values += bb.evaluate_batch(pending)
                 pending = []

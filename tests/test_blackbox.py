@@ -194,6 +194,23 @@ def test_train_config_rejects_a_non_finite_learning_rate(bad):
         TrainConfig(learning_rate=bad)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, -0.0])
+def test_train_config_rejects_a_learning_rate_that_is_not_positive(bad):
+    with pytest.raises(ConfigurationError, match="learning rate must be positive"):
+        TrainConfig(learning_rate=bad)
+
+
+@pytest.mark.parametrize("bad", [-3, -1, 1.5, 300.0, True, "3", None])
+def test_train_config_rejects_epochs_that_are_not_a_nonnegative_integer(bad):
+    with pytest.raises(ConfigurationError, match="epochs must be a nonnegative integer"):
+        TrainConfig(epochs=bad)
+
+
+def test_train_config_takes_zero_and_numpy_integer_epochs():
+    assert TrainConfig(epochs=0).epochs == 0
+    assert TrainConfig(epochs=np.int64(5)).epochs == 5
+
+
 def test_surrogate_weight_vector_dimension_checked():
     with pytest.raises(ConfigurationError):
         LinearSurrogate(5, np.zeros(3), 0.0)

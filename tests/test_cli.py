@@ -347,6 +347,24 @@ def test_a_bad_motif_file_is_refused_before_the_blackbox_is_built(
     assert not out.exists()
 
 
+def test_eval_global_refuses_a_dataset_without_graphs_before_the_blackbox_is_built(
+        synth_files, tmp_path, capsys, monkeypatch):
+    _, motif_path = synth_files
+    no_graphs = tmp_path / "no-graphs.json"
+    no_graphs.write_text(json.dumps({"n": 30, "graphs": []}))
+    out = tmp_path / "x.json"
+    args = ["eval", "global", "--dataset", str(no_graphs), "--motifs", str(motif_path),
+            "--out", str(out)]
+    monkeypatch.setattr(motifshap.cli, "GroundTruthScorer",
+                        lambda *a, **k: pytest.fail("scorer built"))
+    for blackbox in (["--blackbox", "external", "--external-cmd", "no-such-cmd"],
+                     ["--blackbox", "scorer", "--rho", "0.2,0.6,1.0"]):
+        assert run(args + blackbox) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ParameterError", "detail": "no explanations to aggregate"}
+    assert not out.exists()
+
+
 def test_a_training_set_over_another_universe_is_refused_before_training(
         synth_files, tmp_path, capsys, monkeypatch):
     data_path, motif_path = synth_files
@@ -371,11 +389,14 @@ def test_a_training_set_over_another_universe_is_refused_before_training(
     ["--rho", "0.2,0.6,1.0", "--beta", "inf"],
     ["--blackbox", "surrogate", "--lr", "nan", "--epochs", "5"],
     ["--blackbox", "surrogate", "--lr", "inf", "--epochs", "5"],
+    ["--blackbox", "surrogate", "--lr", "-1", "--epochs", "5"],
+    ["--blackbox", "surrogate", "--lr", "0", "--epochs", "5"],
+    ["--blackbox", "surrogate", "--epochs", "-3"],
     ["--blackbox", "external", "--external-cmd", "{missing}", "--timeout", "nan"],
     ["--blackbox", "external", "--external-cmd", "{missing}", "--timeout", "-1"],
     ["--blackbox", "external", "--external-cmd", "{missing}", "--timeout", "0"],
 ], ids=["rho-nan", "rho-inf", "beta-nan", "beta-inf", "lr-nan", "lr-inf",
-        "timeout-nan", "timeout-negative", "timeout-zero"])
+        "lr-negative", "lr-zero", "epochs-negative", "timeout-nan", "timeout-negative", "timeout-zero"])
 def test_invalid_blackbox_parameters_exit_2(synth_files, tmp_path, capsys, flags):
     data_path, motif_path = synth_files
     out = tmp_path / "x.json"

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from motifshap import engine
+from motifshap.blackbox import _request_line
 from motifshap import (
     ConfigurationError,
     Graph,
@@ -410,6 +411,132 @@ def test_engine_is_bit_identical_to_reference(monkeypatch):
             want = reference_explain(g, bb, motifs, strat.kind, bg, w, depth, normalize)
             assert (ap.scores, ap.query_count) == want
     assert merged
+
+
+def assert_matches_reference(g, bb, motifs, strat):
+    """Every weighting, exact and at every depth with and without
+    normalize, equals reference_explain in scores and query count."""
+    m = len(motifs)
+    for w in (WeightingScheme.classic(), WeightingScheme.paper_inverse(),
+              WeightingScheme.paper_direct()):
+        ex = exact_explain(g, bb, motifs, strat, w)
+        want = reference_explain(g, bb, motifs, strat.kind, strat.background, w, m, False)
+        assert (ex.scores, ex.query_count) == want
+        for depth, normalize in itertools.product(range(1, m + 1), (False, True)):
+            ap = approx_explain(g, bb, motifs, strat, w, depth=depth, normalize=normalize)
+            want = reference_explain(g, bb, motifs, strat.kind, strat.background, w,
+                                     depth, normalize)
+            assert (ap.scores, ap.query_count) == want
+
+
+# Background over 8 nodes with edge frequencies (0, 1): 0.5, (1, 2): 0.25,
+# (2, 3): 1.0, (5, 6): 0.75, and (4, 5), (6, 7): 0.0.
+KEY_BACKGROUND = LabeledDataset(8, (
+    Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (5, 6)]),
+    Graph.from_edges(8, [(0, 1), (2, 3), (5, 6)]),
+    Graph.from_edges(8, [(2, 3), (5, 6), (3, 4)]),
+    Graph.from_edges(8, [(2, 3)]),
+), (0, 1, 0, 1))
+
+
+def _key_blackboxes(motifs):
+    """The scorer, which reads only motif edges, and a surrogate, which
+    reads the weight of every node pair."""
+    n = 8
+    signed = [Motif(mot.id, mot.edges, 1 if i % 2 else -1) for i, mot in enumerate(motifs)]
+    scorer = GroundTruthScorer(n, signed, [0.9, 0.3, 0.6, 0.45, 0.8][:len(motifs)])
+    rng = philox(700)
+    surrogate = LinearSurrogate(n, rng.normal(0, 1, n * (n - 1) // 2), -0.2)
+    return scorer, surrogate
+
+
+def test_average_merges_coalitions_only_where_weights_equal_frequencies(monkeypatch):
+    monkeypatch.setattr(engine, "BATCH_SIZE", 5)
+    # motif 0's edge (0, 1) and motif 1's (2, 3) weigh exactly their
+    # background frequency in g, so masking them changes nothing; (4, 5) is
+    # absent from g at frequency 0.0, and masking makes it present at 0.0
+    g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)],
+              {(0, 1): 0.5, (1, 2): 0.7, (3, 4): 0.9, (5, 6): 0.3})
+    strat = MaskingStrategy.average(KEY_BACKGROUND)
+    motifs = [Motif(0, frozenset({(0, 1)})), Motif(1, frozenset({(2, 3)})),
+              Motif(2, frozenset({(4, 5)})), Motif(3, frozenset({(1, 2), (2, 3)})),
+              Motif(4, frozenset({(5, 6), (6, 7)}))]
+    for bb in _key_blackboxes(motifs):
+        assert_matches_reference(g, bb, motifs, strat)
+    scorer, _ = _key_blackboxes(motifs)
+    # motifs 0 and 1 are dummies: 2^3 distinct graphs
+    assert exact_explain(g, scorer, motifs, strat).query_count == 8
+    # the absent edge at frequency 0.0 still splits: masking motif 2 alone
+    # changes the graph
+    assert exact_explain(g, scorer, motifs[2:3], strat).query_count == 2
+
+
+def test_toggle_merges_identical_and_overlapping_motifs(monkeypatch):
+    monkeypatch.setattr(engine, "BATCH_SIZE", 5)
+    g = Graph.from_edges(8, [(0, 1), (1, 2), (4, 5), (6, 7)])
+    path = frozenset({(0, 1), (1, 2)})
+    motifs = [Motif(0, path), Motif(1, path), Motif(2, frozenset({(1, 2), (2, 3)})),
+              Motif(3, frozenset({(2, 3)})), Motif(4, frozenset({(5, 6)}))]
+    for bb in _key_blackboxes(motifs):
+        assert_matches_reference(g, bb, motifs, MaskingStrategy.toggle())
+    scorer, _ = _key_blackboxes(motifs)
+    # motif unions over W = {01, 12, 23, 56}: {01, 12} and {23} combine
+    # into 5 distinct sets ({}, P, {23}, P+{23}, {12, 23}), times 2 for
+    # motif 4, against 32 coalitions
+    assert exact_explain(g, scorer, motifs, MaskingStrategy.toggle()).query_count == 10
+
+
+def test_remove_and_toggle_of_a_weighted_input_drop_its_weights(monkeypatch):
+    monkeypatch.setattr(engine, "BATCH_SIZE", 5)
+    g = Graph(8, [(0, 1), (1, 2), (3, 4), (6, 7)], {(0, 1): 0.2, (3, 4): 0.6})
+    motifs = [Motif(0, frozenset({(0, 1), (1, 2)})), Motif(1, frozenset({(4, 5)})),
+              Motif(2, frozenset({(5, 6)}))]
+    for strat in (MaskingStrategy.remove(), MaskingStrategy.toggle()):
+        for bb in _key_blackboxes(motifs):
+            assert_matches_reference(g, bb, motifs, strat)
+    # under remove, motifs 1 and 2 are absent from g: two distinct graphs,
+    # and the empty coalition's is g without its weights
+    _, surrogate = _key_blackboxes(motifs)
+    ex = exact_explain(g, surrogate, motifs, MaskingStrategy.remove())
+    assert ex.query_count == 2
+    unweighted = Graph(8, g.edges)
+    assert ex.scores[0] == pytest.approx(
+        surrogate.evaluate(unweighted) - surrogate.evaluate(Graph(8, [(3, 4), (6, 7)])))
+    assert surrogate.evaluate(unweighted) != surrogate.evaluate(g)
+
+
+def test_blackbox_sees_the_references_first_occurrence_sequence(monkeypatch):
+    monkeypatch.setattr(engine, "BATCH_SIZE", 5)
+
+    class Recording(LinearSurrogate):
+        def __init__(self, inner, sent):
+            super().__init__(inner.n, inner.weights, inner.bias)
+            self.sent = sent
+
+        def evaluate(self, g):
+            self.sent.append(g)
+            return super().evaluate(g)
+
+        def evaluate_batch(self, graphs):
+            self.sent.extend(graphs)
+            return [LinearSurrogate.evaluate(self, h) for h in graphs]
+
+    g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)],
+              {(0, 1): 0.5, (1, 2): 0.7, (3, 4): 0.9, (5, 6): 0.3})
+    motifs = [Motif(0, frozenset({(0, 1)})), Motif(1, frozenset({(2, 3)})),
+              Motif(2, frozenset({(4, 5)})), Motif(3, frozenset({(1, 2), (2, 3)})),
+              Motif(4, frozenset({(5, 6), (6, 7)}))]
+    _, surrogate = _key_blackboxes(motifs)
+    w = WeightingScheme.classic()
+    for strat in (MaskingStrategy.remove(), MaskingStrategy.toggle(),
+                  MaskingStrategy.average(KEY_BACKGROUND)):
+        for depth in (2, len(motifs)):
+            got, want = [], []
+            approx_explain(g, Recording(surrogate, got), motifs, strat, w, depth=depth)
+            reference_explain(g, Recording(surrogate, want), motifs, strat.kind,
+                              strat.background, w, depth, False)
+            assert got == want
+            assert [_request_line(0, h) for h in got] == [_request_line(0, h) for h in want]
 
 
 def test_lattice_is_evaluated_in_bounded_batches(monkeypatch):
