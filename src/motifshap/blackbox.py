@@ -26,7 +26,6 @@ import time
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import IO, Sequence
 
 import numpy as np
@@ -44,9 +43,8 @@ from .graphs import (
     LabeledDataset,
     Motif,
     _as_int,
-    _node_pairs,
-    _pack_pairs,
-    all_pairs,
+    _edge_fragments,
+    _weighted_graph,
     pack_edges,
     pair_index,
     unpack_edges,
@@ -233,20 +231,13 @@ def accuracy(bb: BlackBox, d: LabeledDataset) -> float:
 # --- external process client and server --------------------------------
 
 
-@lru_cache(maxsize=8)
-def _wire_fragments(n: int) -> tuple[str, ...]:
-    """Request fragment "[u,v,1.0]" of every node pair of an n-node
-    universe, in pair_index order."""
-    return tuple(f"[{u},{v},1.0]" for u, v in all_pairs(n))
-
-
 def _request_line(rid: int, g: Graph) -> bytes:
     """The request for g, byte for byte json.dumps({"id": rid, "n": g.n,
     "edges": [[u, v, g.weight((u, v))] for (u, v) in sorted(g.edges)]},
     separators=(",", ":")) plus a newline. Ascending (u, v) is pair_index
     order, so the edges come straight from the edge bits; only the listed
     weights, none of them 1.0, are formatted, as json formats floats."""
-    frags = _wire_fragments(g.n)
+    frags = _edge_fragments(g.n, ",1.0")
     idx = np.flatnonzero(unpack_edges(g.edge_bits, g.n)).tolist()
     parts = [frags[i] for i in idx]
     for (u, v), w in (g.weights or {}).items():
@@ -424,40 +415,21 @@ class ExternalBlackBox(BlackBox):
 _BAD_REQUEST = (LookupError, TypeError, ValueError, OverflowError, ParameterError)
 
 
-def _parse_wire_graph(n: int, edges: Sequence) -> Graph:
-    """Graph over n nodes of one request's edges, validated in one numpy
-    pass (node ids as the Graph constructor checks them, weights JSON
-    numbers in [0, 1]) and packed at once; an edge listed twice takes its
-    last weight, and only weights other than 1.0 are kept. Raises
-    ValueError or ParameterError on an invalid edge list."""
-    lo, hi, (col,) = _node_pairs(edges, n, width=3)
-    w = np.asarray(col)
-    # numpy reads a column of numbers and bools as numbers, so look for bools
-    if (w.shape != lo.shape or w.dtype.kind not in "fiu" or bool in map(type, col)
-            or not np.all((w >= 0.0) & (w <= 1.0))):
-        raise ValueError("every edge weight must be a number in [0, 1]")
-    w = w.astype(np.float64)
-    # the last listing of each pair: first occurrence in the reversed list
-    _, last = np.unique(pair_index(lo, hi, n)[::-1], return_index=True)
-    last = len(w) - 1 - last
-    last = last[w[last] != 1.0]
-    weights = dict(zip(zip(lo[last].tolist(), hi[last].tolist()), w[last].tolist()))
-    return Graph._trusted(n, _pack_pairs(lo, hi, n), weights or None)
-
-
 def serve(bb: BlackBox, stdin: IO[str] | None = None,
           stdout: IO[str] | None = None) -> None:
     """Run the server side of the wire protocol until end of input.
 
     Replies in request order. Each request is checked in three steps. A
-    line that is not JSON, a missing id or n, or an n that is negative or
-    not an integer raises InputFormatError. Then an n other than the
-    black box's declared universe raises UniverseMismatchError, as
-    evaluate would, before any edge is decoded, so a huge n costs
-    nothing n-sized. Then a missing edge list, a self-loop, a node
-    outside [0, n), or a weight that is not a number in [0, 1] raises
-    InputFormatError. The CLI maps these to the usage and format-error
-    exit codes instead of answering garbage."""
+    line that is not JSON, a missing id or n, an id that is not an
+    integer, or an n that is negative or not an integer raises
+    InputFormatError. Then an n other than the black box's declared
+    universe raises UniverseMismatchError, as evaluate would, before any
+    edge is decoded, so a huge n costs nothing n-sized. Then the edges
+    are read as the Graph constructor reads edges and weights: a missing
+    edge list, an edge that does not list exactly three entries, a
+    self-loop, a node outside [0, n), or a weight that is not a number in
+    [0, 1] raises InputFormatError. The CLI maps these to the usage and
+    format-error exit codes instead of answering garbage."""
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
 
@@ -479,14 +451,14 @@ def serve(bb: BlackBox, stdin: IO[str] | None = None,
     for line in filter(None, map(str.strip, stdin)):
         try:
             req = json.loads(line)
-            rid, n = req["id"], _as_int(req["n"], "node count")
+            rid, n = _as_int(req["id"], "request id"), _as_int(req["n"], "node count")
             if n < 0:
                 raise ParameterError("node count must be nonnegative")
         except _BAD_REQUEST as exc:
             raise InputFormatError(f"bad request: {exc}") from exc
         bb.check_universe(n)
         try:
-            g = _parse_wire_graph(n, req["edges"])
+            g = _weighted_graph(n, req["edges"])
         except _BAD_REQUEST as exc:
             raise InputFormatError(f"bad request: {exc}") from exc
         reply({"id": rid, "p": bb.evaluate(g)})

@@ -28,6 +28,7 @@ from typing import NamedTuple, Sequence
 
 from . import __version__
 from .blackbox import (
+    PROTOCOL_HELLO,
     BlackBox,
     ExternalBlackBox,
     GroundTruthScorer,
@@ -551,7 +552,7 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--version", action="version",
         version=f"motifshap {__version__} "
-                f"(file format {FORMAT_VERSION}, wire protocol motif-shap/1)")
+                f"(file format {FORMAT_VERSION}, wire protocol {PROTOCOL_HELLO})")
     sub = parser.add_subparsers(dest="cmd", required=True, metavar="<command>")
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark dataset")

@@ -7,9 +7,14 @@ fixed enumeration, pair_index, which is ascending (u, v) with u < v. A
 graph holds its edge set as one integer, edge_bits, whose bit i is set
 when the pair with pair_index i is an edge: masks are integer AND-NOT,
 XOR and OR, and intersections and unions are popcounts. The frozenset of
-(u, v) tuples is derived from the bits only when it is read. Edge lists
-from callers and files are validated in one numpy pass and packed. A
-graph lists only its weights other than 1.0, so 1.0 means unweighted.
+(u, v) tuples is derived from the bits only when it is read. A graph
+lists only its weights other than 1.0, so 1.0 means unweighted.
+
+Edge rows have one reader, _node_pairs, which checks them in one numpy
+pass, and [u, v, w] rows one weight rule, _weighted_graph. Every Graph
+built from outside data goes through them: the constructor's edges and
+weights, file edges, which are exactly [u, v], and wire request edges,
+which are exactly [u, v, w].
 
 Motifs stay frozensets of canonical (u, v) tuples. The Motif constructor
 is their one validator; the file reader checks only what a file adds, and
@@ -81,18 +86,21 @@ def pack_flags(flags: np.ndarray) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
-def _node_pairs(edges: Iterable[Sequence], n: int,
+def _node_pairs(rows: Iterable[Sequence], n: int,
                 width: int = 2) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Columns of a list of edges of width entries or more, validated in
-    one numpy pass (the first bad edge raises ParameterError): the smaller
-    and larger node id of each edge as int64 arrays, in list order, and
-    the columns from the third to width."""
+    """Columns of edge rows of exactly width entries, validated in one numpy
+    pass (the first bad edge raises ParameterError): the smaller and larger
+    node id of each row as int64 arrays, in row order, and the columns from
+    the third on."""
     if n < 0:
         raise ParameterError("node count must be nonnegative")
-    rows = edges if isinstance(edges, Sequence) else list(edges)
-    cols = list(zip(*rows)) if len(rows) else [()] * width
-    if len(cols) < width:
-        raise ParameterError(f"every edge must list {width} entries")
+    try:
+        rows = rows if isinstance(rows, Sequence) else list(rows)
+        cols = list(zip(*rows, strict=True)) if len(rows) else [()] * width
+    except (TypeError, ValueError) as exc:  # a row that is no sequence, or of another length
+        raise ParameterError(f"every edge must list exactly {width} entries: {exc}") from exc
+    if len(cols) != width:
+        raise ParameterError(f"every edge must list exactly {width} entries")
     u, v = np.asarray(cols[0]), np.asarray(cols[1])
     # numpy reads a column of ints and bools as ints, so look for bools
     if len(rows) and (u.dtype.kind not in "iu" or v.dtype.kind not in "iu"
@@ -104,7 +112,7 @@ def _node_pairs(edges: Iterable[Sequence], n: int,
         i = int(np.argmax(bad))
         e = canonical_edge(int(lo[i]), int(hi[i]))  # raises on a self-loop
         raise UniverseMismatchError(f"edge {e} outside node universe [0, {n})")
-    return lo.astype(np.int64), hi.astype(np.int64), tuple(cols[2:width])
+    return lo.astype(np.int64), hi.astype(np.int64), tuple(cols[2:])
 
 
 def _pack_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> int:
@@ -118,6 +126,27 @@ def pack_edges(edges: Iterable[Sequence[int]], n: int) -> int:
     with pair_index i."""
     lo, hi, _ = _node_pairs(edges, n)
     return _pack_pairs(lo, hi, n)
+
+
+def _weighted_graph(n: int, rows: Iterable[Sequence]) -> "Graph":
+    """Graph over n nodes of [u, v, w] rows, as a wire request lists its
+    edges and as the Graph constructor reads its weights: node ids as
+    _node_pairs reads them, each w a number, not a bool, in [0, 1]. A pair
+    listed twice takes its last weight, and only weights other than 1.0
+    are kept."""
+    lo, hi, (col,) = _node_pairs(rows, n, width=3)
+    w = np.asarray(col)
+    # numpy reads a column of numbers and bools as numbers, so look for bools
+    if (w.shape != lo.shape or w.dtype.kind not in "fiu" or bool in map(type, col)
+            or not np.all((w >= 0.0) & (w <= 1.0))):
+        raise ParameterError("every edge weight must be a number in [0, 1]")
+    w = w.astype(np.float64)
+    # the last listing of each pair: first occurrence in the reversed list
+    _, last = np.unique(pair_index(lo, hi, n)[::-1], return_index=True)
+    last = len(w) - 1 - last
+    last = last[w[last] != 1.0]
+    weights = dict(zip(zip(lo[last].tolist(), hi[last].tolist()), w[last].tolist()))
+    return Graph._trusted(n, _pack_pairs(lo, hi, n), weights or None)
 
 
 def unpack_edges(bits: int, n: int) -> np.ndarray:
@@ -135,9 +164,11 @@ class Graph:
     The edge set is edge_bits (bit i set: the pair with pair_index i is an
     edge); edges and sorted_edges() are derived from it. weights maps the
     edges whose weight is not 1.0, as (u, v) tuples with u < v, to values
-    in [0, 1], and is None when there are none. The constructor validates
-    every weight it is given and drops the 1.0 entries, so listing every
-    weight as 1.0 gives the unweighted graph. Instances are immutable.
+    in [0, 1], and is None when there are none. The constructor reads its
+    weights as [u, v, w] rows, as a wire request's edges are read: each w
+    must be a number, not a bool, in [0, 1], on a listed edge. It drops
+    the 1.0 entries, so listing every weight as 1.0 gives the unweighted
+    graph. Instances are immutable.
     """
 
     n: int
@@ -148,26 +179,16 @@ class Graph:
                  weights: Mapping[Sequence[int], float] | None = None):
         bits = pack_edges(edges, n)
         if weights is not None:
-            lo, hi, _ = _node_pairs(list(weights), n)
-            weights = dict(zip(zip(lo.tolist(), hi.tolist()), map(float, weights.values())))
-            for (u, v), x in weights.items():
-                if not bits >> pair_index(u, v, n) & 1:
-                    raise ParameterError(
-                        f"weighted edge {(u, v)} is not listed in the edge set")
-                if not 0.0 <= x <= 1.0:
-                    raise ParameterError(f"edge weight {x} outside [0, 1]")
-            weights = {e: x for e, x in weights.items() if x != 1.0} or None
+            weighted = _weighted_graph(n, ((*e, x) for e, x in weights.items()))
+            if stray := weighted.edge_bits & ~bits:
+                e = Graph._trusted(n, stray).sorted_edges()[0]
+                raise ParameterError(f"weighted edge {e} is not listed in the edge set")
+            weights = weighted.weights
         self.__dict__.update(n=n, edge_bits=bits, weights=weights)
 
     def __hash__(self) -> int:
         # agrees with ==, which compares weights as dicts, whatever their order
         return hash((self.n, self.edge_bits, frozenset((self.weights or {}).items())))
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Sequence[int]],
-                   weights: Mapping[Edge, float] | None = None) -> "Graph":
-        """Graph from any iterable of node pairs, as the constructor."""
-        return cls(n, edges, weights)
 
     @classmethod
     def _trusted(cls, n: int, edge_bits: int,
@@ -236,9 +257,10 @@ class Motif:
 
     ``class_sign`` is +1 for a motif predictive of class 1, -1 for class 0,
     or None when no class is associated. The constructor takes any
-    iterable of node pairs, rejects self-loops and node ids that are not
-    nonnegative integers, stores (u, v) with u < v and checks
-    connectivity, so downstream code may assume all of it.
+    iterable of node pairs, rejects an entry that is not a pair,
+    self-loops and node ids that are not nonnegative integers, stores
+    (u, v) with u < v and checks connectivity, so downstream code may
+    assume all of it.
     """
 
     id: int
@@ -247,7 +269,11 @@ class Motif:
 
     def __post_init__(self):
         edges = set()
-        for u, v in self.edges:
+        for e in self.edges:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ParameterError(f"motif {self.id}: edge {e!r} is not a pair") from None
             if type(u) is not int or type(v) is not int:
                 u, v = _as_int(u, "node id"), _as_int(v, "node id")
             u, v = canonical_edge(u, v)
@@ -545,17 +571,17 @@ def _parse_dataset(path: str | os.PathLike, data: bytes) -> LabeledDataset:
         labels = []
         for entry in doc["graphs"]:
             labels.append(entry["label"])
-            graphs.append(Graph.from_edges(n, entry["edges"]))
+            graphs.append(Graph(n, entry["edges"]))
         return LabeledDataset(n, tuple(graphs), tuple(labels), doc.get("injections"))
     except (KeyError, TypeError, ValueError, IndexError, ParameterError) as exc:
         raise InputFormatError(f"{path}: malformed dataset: {exc}") from exc
 
 
 @lru_cache(maxsize=8)
-def _edge_fragments(n: int) -> tuple[str, ...]:
-    """File fragment "[u,v]" of every node pair of an n-node universe, in
-    pair_index order."""
-    return tuple(f"[{u},{v}]" for u, v in all_pairs(n))
+def _edge_fragments(n: int, tail: str = "") -> tuple[str, ...]:
+    """Fragment "[u,v<tail>]" of every node pair of an n-node universe, in
+    pair_index order: "[u,v]" in files, "[u,v,1.0]" on the wire."""
+    return tuple(f"[{u},{v}{tail}]" for u, v in all_pairs(n))
 
 
 def dataset_to_json(d: LabeledDataset) -> str:
@@ -583,7 +609,7 @@ def _motif_from_entry(n: int, entry: Mapping) -> Motif:
     cls = entry.get("class")
     if cls is not None and _as_int(cls, "motif class") not in (0, 1):
         raise ParameterError(f"motif class {cls} is not 0 or 1")
-    m = Motif(_as_int(entry["id"], "motif id"), ((e[0], e[1]) for e in entry["edges"]),
+    m = Motif(_as_int(entry["id"], "motif id"), entry["edges"],
               None if cls is None else 2 * cls - 1)
     if m.max_node() >= n:
         e = min(e for e in m.edges if e[1] >= n)
@@ -637,6 +663,6 @@ def save_motifs(n: int, motifs: Sequence[Motif], path: str | os.PathLike,
 def load_graph_file(path: str | os.PathLike) -> Graph:
     doc = _read_json(path)
     try:
-        return Graph.from_edges(_as_int(doc["n"], "node count"), doc["edges"])
+        return Graph(_as_int(doc["n"], "node count"), doc["edges"])
     except (KeyError, TypeError, ValueError, IndexError, ParameterError) as exc:
         raise InputFormatError(f"{path}: malformed graph file: {exc}") from exc

@@ -300,7 +300,7 @@ def test_criterion_06_query_counts_equal_the_published_budget():
     n = 24
     all_motifs = [Motif(k, frozenset({(2 * k, 2 * k + 1)}), [-1, 1][k % 2])
                   for k in range(12)]
-    g = Graph.from_edges(n, [(2 * k, 2 * k + 1) for k in range(12)])
+    g = Graph(n, [(2 * k, 2 * k + 1) for k in range(12)])
     strategy = MaskingStrategy.toggle()
     for m in (4, 8, 12):
         motifs = all_motifs[:m]

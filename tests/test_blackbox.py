@@ -37,13 +37,13 @@ def test_scorer_neutral_when_overlap_is_half():
     # a single 2-edge motif with exactly one edge present: overlap 0.5
     m = Motif(0, frozenset({(0, 1), (1, 2)}), 1)
     bb = GroundTruthScorer(4, [m], [1.0])
-    assert bb.evaluate(Graph.from_edges(4, [(0, 1)])) == 0.5
+    assert bb.evaluate(Graph(4, [(0, 1)])) == 0.5
 
 
 def test_scorer_fully_present_and_absent_motif():
     bb = GroundTruthScorer(4, [TRIANGLE], [1.0], beta=2.0)
-    present = bb.evaluate(Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)]))
-    absent = bb.evaluate(Graph.from_edges(4, []))
+    present = bb.evaluate(Graph(4, [(0, 1), (1, 2), (0, 2)]))
+    absent = bb.evaluate(Graph(4, []))
     assert present == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=1e-12)
     assert absent == pytest.approx(1.0 - present, abs=1e-12)
 
@@ -92,7 +92,7 @@ def test_scorer_validation():
         GroundTruthScorer(2, [TRIANGLE], [1.0])
     bb = GroundTruthScorer(4, [TRIANGLE], [1.0])
     with pytest.raises(UniverseMismatchError):
-        bb.evaluate(Graph.from_edges(5, []))
+        bb.evaluate(Graph(5, []))
 
 
 def test_scorer_equal_motifs_score_equally(tmp_path):
@@ -181,7 +181,7 @@ def test_surrogate_output_in_unit_interval():
 
 
 def test_surrogate_rejects_single_class_data():
-    g = Graph.from_edges(3, [(0, 1)])
+    g = Graph(3, [(0, 1)])
     with pytest.raises(DegenerateTrainingError):
         train_linear_surrogate(LabeledDataset(3, (g, g), (1, 1)))
     with pytest.raises(DegenerateTrainingError):
@@ -215,7 +215,7 @@ def test_surrogate_weight_vector_dimension_checked():
     with pytest.raises(ConfigurationError):
         LinearSurrogate(5, np.zeros(3), 0.0)
     with pytest.raises(UniverseMismatchError):
-        LinearSurrogate(3, np.zeros(3), 0.0).evaluate(Graph.from_edges(4, []))
+        LinearSurrogate(3, np.zeros(3), 0.0).evaluate(Graph(4, []))
 
 
 def test_accuracy_empty_dataset_rejected():

@@ -21,7 +21,7 @@ from motifshap import (
     pearson,
     query_budget,
 )
-from motifshap import cli, graphs
+from motifshap import blackbox, cli, graphs
 from motifshap.cli import run
 
 
@@ -53,6 +53,17 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "motifshap" in out and "0.1.0" in out
+
+
+def test_version_names_the_protocol_the_wire_client_sends(capsys, monkeypatch):
+    with pytest.raises(SystemExit):
+        run(["--version"])
+    assert f"wire protocol {blackbox.PROTOCOL_HELLO})" in capsys.readouterr().out
+    # the text is built from the constant, not from a copy of its value
+    monkeypatch.setattr(cli, "PROTOCOL_HELLO", "motif-shap/0")
+    with pytest.raises(SystemExit):
+        run(["--version"])
+    assert "wire protocol motif-shap/0)" in capsys.readouterr().out
 
 
 def test_module_entry_point():

@@ -156,7 +156,7 @@ def test_symmetric_motifs_get_equal_scores():
     m0 = Motif(0, frozenset({(0, 1), (1, 2)}), 1)
     m1 = Motif(1, frozenset({(3, 4), (4, 5)}), 1)
     bb = GroundTruthScorer(6, [m0, m1], [0.6, 0.6])
-    g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     ex = exact_explain(g, bb, [m0, m1], MaskingStrategy.remove())
     assert ex.scores[0] == pytest.approx(ex.scores[1], abs=1e-9)
 
@@ -304,7 +304,7 @@ def test_duplicate_coalition_graphs_are_merged():
     # remove masking with motifs entirely absent from g: every coalition
     # graph is g itself, so one black-box call suffices
     n = 10
-    g = Graph.from_edges(n, [(8, 9)])
+    g = Graph(n, [(8, 9)])
     motifs = [Motif(i, frozenset({(2 * i, 2 * i + 1)}), 1) for i in range(3)]
     bb = CountingScorer(n, motifs, [1.0] * 3)
     ex = exact_explain(g, bb, motifs, MaskingStrategy.remove())
@@ -432,10 +432,10 @@ def assert_matches_reference(g, bb, motifs, strat):
 # Background over 8 nodes with edge frequencies (0, 1): 0.5, (1, 2): 0.25,
 # (2, 3): 1.0, (5, 6): 0.75, and (4, 5), (6, 7): 0.0.
 KEY_BACKGROUND = LabeledDataset(8, (
-    Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (5, 6)]),
-    Graph.from_edges(8, [(0, 1), (2, 3), (5, 6)]),
-    Graph.from_edges(8, [(2, 3), (5, 6), (3, 4)]),
-    Graph.from_edges(8, [(2, 3)]),
+    Graph(8, [(0, 1), (1, 2), (2, 3), (5, 6)]),
+    Graph(8, [(0, 1), (2, 3), (5, 6)]),
+    Graph(8, [(2, 3), (5, 6), (3, 4)]),
+    Graph(8, [(2, 3)]),
 ), (0, 1, 0, 1))
 
 
@@ -473,7 +473,7 @@ def test_average_merges_coalitions_only_where_weights_equal_frequencies(monkeypa
 
 def test_toggle_merges_identical_and_overlapping_motifs(monkeypatch):
     monkeypatch.setattr(engine, "BATCH_SIZE", 5)
-    g = Graph.from_edges(8, [(0, 1), (1, 2), (4, 5), (6, 7)])
+    g = Graph(8, [(0, 1), (1, 2), (4, 5), (6, 7)])
     path = frozenset({(0, 1), (1, 2)})
     motifs = [Motif(0, path), Motif(1, path), Motif(2, frozenset({(1, 2), (2, 3)})),
               Motif(3, frozenset({(2, 3)})), Motif(4, frozenset({(5, 6)}))]

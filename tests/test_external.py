@@ -95,9 +95,9 @@ def test_request_line_matches_json_reference():
     # background frequencies of 0, 1/3 and 2/3: edge (0, 9) is in no
     # background graph, (0, 1) in one, (0, 2) in two
     background = LabeledDataset(N, (
-        Graph.from_edges(N, [(0, 1), (0, 2)]),
-        Graph.from_edges(N, [(0, 2)]),
-        Graph.from_edges(N, [(3, 4)]),
+        Graph(N, [(0, 1), (0, 2)]),
+        Graph(N, [(0, 2)]),
+        Graph(N, [(3, 4)]),
     ), (0, 1, 0))
     fractional = Motif(9, frozenset({(0, 1), (0, 2), (0, 9)}), 1)
     average = MaskingStrategy.average(background)
@@ -121,11 +121,11 @@ def test_request_line_matches_json_reference():
 def test_client_is_a_context_manager_and_closes(tmp_path):
     path, _ = _motif_file(tmp_path)
     bb = ExternalBlackBox(_serve_cmd(path))
-    assert bb.evaluate(Graph.from_edges(N, [])) > 0.0
+    assert bb.evaluate(Graph(N, [])) > 0.0
     bb.close()
     assert bb._proc.poll() is not None
     with pytest.raises(TransportError):
-        bb.evaluate(Graph.from_edges(N, []))
+        bb.evaluate(Graph(N, []))
 
 
 def _script(tmp_path, body):
@@ -145,28 +145,28 @@ for line in sys.stdin:
 
 def test_constant_peer(tmp_path):
     with ExternalBlackBox(_script(tmp_path, CONSTANT_PEER)) as bb:
-        assert bb.evaluate(Graph.from_edges(3, [(0, 1)])) == 0.5
+        assert bb.evaluate(Graph(3, [(0, 1)])) == 0.5
 
 
 def test_out_of_range_probability_rejected(tmp_path):
     body = CONSTANT_PEER.replace("0.5", "1.5")
     with ExternalBlackBox(_script(tmp_path, body)) as bb:
         with pytest.raises(TransportError):
-            bb.evaluate(Graph.from_edges(3, [(0, 1)]))
+            bb.evaluate(Graph(3, [(0, 1)]))
 
 
 def test_non_numeric_probability_rejected(tmp_path):
     body = CONSTANT_PEER.replace('"p": 0.5', '"p": "high"')
     with ExternalBlackBox(_script(tmp_path, body)) as bb:
         with pytest.raises(TransportError):
-            bb.evaluate(Graph.from_edges(3, [(0, 1)]))
+            bb.evaluate(Graph(3, [(0, 1)]))
 
 
 def test_id_mismatch_rejected(tmp_path):
     body = CONSTANT_PEER.replace('req["id"]', '999')
     with ExternalBlackBox(_script(tmp_path, body)) as bb:
         with pytest.raises(TransportError):
-            bb.evaluate(Graph.from_edges(3, [(0, 1)]))
+            bb.evaluate(Graph(3, [(0, 1)]))
 
 
 def test_malformed_reply_rejected(tmp_path):
@@ -178,7 +178,7 @@ print("this is not json", flush=True)
 """
     with ExternalBlackBox(_script(tmp_path, body)) as bb:
         with pytest.raises(TransportError):
-            bb.evaluate(Graph.from_edges(3, [(0, 1)]))
+            bb.evaluate(Graph(3, [(0, 1)]))
 
 
 def test_bad_handshake_rejected(tmp_path):
@@ -206,7 +206,7 @@ time.sleep(30)
 """
     with ExternalBlackBox(_script(tmp_path, body), timeout=1.0) as bb:
         with pytest.raises(TransportError):
-            bb.evaluate(Graph.from_edges(3, [(0, 1)]))
+            bb.evaluate(Graph(3, [(0, 1)]))
         # the hung child is ended with the error, not left to sleep
         bb._proc.wait(timeout=2)
 
@@ -220,7 +220,7 @@ line = sys.stdin.readline()
 print(json.dumps({"ready": True}), flush=True)
 time.sleep(10)
 """
-    big = Graph.from_edges(200, all_pairs(200))
+    big = Graph(200, all_pairs(200))
     assert len(_request_line(0, big)) > 65536
     with ExternalBlackBox(_script(tmp_path, body), timeout=1.0) as bb:
         start = time.monotonic()
@@ -318,7 +318,7 @@ def test_serve_loop_in_process():
     assert lines[0] == {"ready": True}
     assert lines[1]["id"] == 0
     assert lines[1]["p"] == pytest.approx(
-        bb.evaluate(Graph.from_edges(4, [(0, 1), (1, 2)])))
+        bb.evaluate(Graph(4, [(0, 1), (1, 2)])))
     assert lines[2]["id"] == 1
     assert lines[3]["id"] == 2
     g = Graph(4, frozenset({(0, 1)}), {(0, 1): 0.5})
@@ -365,6 +365,8 @@ def test_serve_empty_input_returns_quietly():
     '{"id": 0, "n": 4, "edges": [[2, "3", 1.0]]}',
     '{"id": 0, "n": 4, "edges": [[0, 1.0, 1.0]]}',
     '{"id": 0, "n": 4, "edges": [[0, 1]]}',
+    '{"id": 0, "n": 4, "edges": [[0, 1, 0.5, 7]]}',
+    '{"id": 0, "n": 4, "edges": [[0, 1, 0.5], [1, 2, 1.0, 0]]}',
     '{"id": 0, "n": 4, "edges": [[0, 1, [0.5]]]}',
     '{"id": 0, "n": 4, "edges": [[0, 1, 1.0], [true, 2, 1.0]]}',
     '{"id": 0, "n": 4.5, "edges": [[0, 1, 1.0]]}',
@@ -376,6 +378,11 @@ def test_serve_empty_input_returns_quietly():
     '{"id": 0, "n": 4, "edges": [[0, 1, NaN]]}',
     '{"id": 0, "n": 4}',
     '{"n": 5, "edges": []}',
+    '{"id": "x", "n": 4, "edges": []}',
+    '{"id": [1, 2], "n": 4, "edges": []}',
+    '{"id": null, "n": 4, "edges": []}',
+    '{"id": 1.5, "n": 4, "edges": []}',
+    '{"id": true, "n": 4, "edges": []}',
     '{"id": 0, "n": -4, "edges": [[1, 1, 1.0]]}',
 ])
 def test_serve_rejects_invalid_wire_graph(request_line):

@@ -27,10 +27,10 @@ from motifshap import (
     save_motifs,
     support,
 )
-from motifshap.blackbox import _parse_wire_graph
 from motifshap import graphs
 from motifshap.graphs import (
     PARSE_CACHE_ENTRIES,
+    _weighted_graph,
     all_pairs,
     atomic_write_text,
     dataset_to_json,
@@ -59,21 +59,21 @@ def test_pair_index_enumerates_upper_triangle():
 
 
 def test_edges_are_canonicalized_and_deduplicated():
-    g = Graph.from_edges(5, [(2, 1), (1, 2), (0, 4)])
+    g = Graph(5, [(2, 1), (1, 2), (0, 4)])
     assert g.edges == frozenset({(1, 2), (0, 4)})
     assert g.sorted_edges() == [(0, 4), (1, 2)]
 
 
 def test_self_loop_rejected():
     with pytest.raises(ParameterError):
-        Graph.from_edges(5, [(3, 3)])
+        Graph(5, [(3, 3)])
 
 
 def test_edge_outside_universe_rejected():
     with pytest.raises(ParameterError):
-        Graph.from_edges(4, [(0, 4)])
+        Graph(4, [(0, 4)])
     with pytest.raises(ParameterError):
-        Graph.from_edges(4, [(-1, 2)])
+        Graph(4, [(-1, 2)])
 
 
 def test_weight_convention():
@@ -106,6 +106,13 @@ def test_weight_validation():
         Graph(4, frozenset({(0, 1)}), {(0, 1): 1.5})
     with pytest.raises(ParameterError):
         Graph(4, frozenset({(0, 1)}), {(0, 1): -0.1})
+    # a weight is a number, as on the wire: no string, bool, bytes or None
+    for w in ("0.5", True, b"1", None, [0.5]):
+        with pytest.raises(ParameterError, match="weight must be a number"):
+            Graph(4, frozenset({(0, 1)}), {(0, 1): w})
+    for key in ((0, 1, 2), (0,), 5):
+        with pytest.raises(ParameterError, match="exactly 3 entries"):
+            Graph(4, frozenset({(0, 1)}), {key: 0.5})
 
 
 def test_weight_keys_canonicalized():
@@ -120,8 +127,8 @@ def test_graph_equality_and_hash_agree_across_constructors(tmp_path):
     toggled = MaskingStrategy.toggle().mask(
         Graph(n, [(0, 1), (2, 4), (0, 5)]),
         [Motif(0, frozenset({(0, 5), (3, 5)})), Motif(1, frozenset({(1, 4)}))])
-    wire = _parse_wire_graph(n, [[u, v, 1.0] for v, u in edges])
-    built = [Graph(n, frozenset(edges)), Graph.from_edges(n, reversed(edges)),
+    wire = _weighted_graph(n, [[u, v, 1.0] for v, u in edges])
+    built = [Graph(n, frozenset(edges)), Graph(n, reversed(edges)),
              toggled, load_graph_file(path), wire,
              Graph(n, edges, dict.fromkeys(edges, 1.0))]
     for g in built:
@@ -142,8 +149,8 @@ def test_graph_equality_and_hash_agree_across_constructors(tmp_path):
     averaged = MaskingStrategy.average(background).mask(
         Graph(n, [(0, 1), (2, 4)], {(2, 4): 0.75}),
         [Motif(0, frozenset({(3, 5)})), Motif(1, frozenset({(1, 4)}))])
-    wire = _parse_wire_graph(n, [[v, u, weights.get((u, v), 1.0)]
-                                 for u, v in reversed(edges)])
+    wire = _weighted_graph(n, [[v, u, weights.get((u, v), 1.0)]
+                               for u, v in reversed(edges)])
     built = [Graph(n, edges, {(v, u): w for (u, v), w in reversed(weights.items())}),
              averaged, wire]
     for g in built:
@@ -185,25 +192,28 @@ def test_motif_requires_connected_nonempty_edges():
     for u in (1.7, 1.0, "3", True):
         with pytest.raises(ParameterError, match="node id must be an integer"):
             Motif(5, [(0, 2), (2, u)])
+    for e in ((0, 1, 2), (0,), 3):
+        with pytest.raises(ParameterError, match="is not a pair"):
+            Motif(6, [(1, 2), e])
     m = Motif(6, [(np.int64(2), np.int32(1))])
     assert m.edges == frozenset({(1, 2)}) and type(m.max_node()) is int
 
 
 def test_jaccard_distance_basic():
-    a = Graph.from_edges(5, [(0, 1), (1, 2)])
-    b = Graph.from_edges(5, [(1, 2), (2, 3)])
+    a = Graph(5, [(0, 1), (1, 2)])
+    b = Graph(5, [(1, 2), (2, 3)])
     # intersection 1, union 3
     assert jaccard_distance(a, b) == pytest.approx(1 - 1 / 3)
     assert jaccard_distance(a, a) == 0.0
-    empty = Graph.from_edges(5, [])
+    empty = Graph(5, [])
     assert jaccard_distance(empty, empty) == 0.0
-    disjoint = Graph.from_edges(5, [(3, 4)])
+    disjoint = Graph(5, [(3, 4)])
     assert jaccard_distance(a, disjoint) == 1.0
 
 
 def test_jaccard_distance_universe_mismatch():
     with pytest.raises(UniverseMismatchError):
-        jaccard_distance(Graph.from_edges(4, []), Graph.from_edges(5, []))
+        jaccard_distance(Graph(4, []), Graph(5, []))
 
 
 def test_jaccard_bitmask_agrees_with_set_formula():
@@ -229,10 +239,10 @@ def test_edge_set_jaccard():
 
 def _toy_dataset() -> LabeledDataset:
     graphs = (
-        Graph.from_edges(4, [(0, 1), (1, 2)]),
-        Graph.from_edges(4, [(0, 1)]),
-        Graph.from_edges(4, [(1, 2), (2, 3)]),
-        Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+        Graph(4, [(0, 1), (1, 2)]),
+        Graph(4, [(0, 1)]),
+        Graph(4, [(1, 2), (2, 3)]),
+        Graph(4, [(0, 1), (1, 2), (2, 3)]),
     )
     return LabeledDataset(4, graphs, (0, 0, 1, 1))
 
@@ -298,7 +308,7 @@ def test_support_index_matches_subset_scan():
 
 
 def test_dataset_validation():
-    g = Graph.from_edges(3, [(0, 1)])
+    g = Graph(3, [(0, 1)])
     with pytest.raises(ParameterError):
         LabeledDataset(3, (g,), (0, 1))
     with pytest.raises(ParameterError):
@@ -327,7 +337,7 @@ def test_dataset_roundtrip_is_byte_identical(tmp_path):
 def test_dataset_roundtrip_with_injections(tmp_path):
     d = LabeledDataset(
         3,
-        (Graph.from_edges(3, [(0, 1)]), Graph.from_edges(3, [(1, 2)])),
+        (Graph(3, [(0, 1)]), Graph(3, [(1, 2)])),
         (0, 1),
         injections=((1, 0), (-1, 1)),
     )
@@ -428,6 +438,8 @@ def test_graph_file_roundtrip(tmp_path):
     '{"n": 3, "graphs": [{"edges": [[0, 1]]}]}',
     '{"n": 3, "graphs": [{"label": 5, "edges": []}]}',
     '{"n": 3, "graphs": [{"label": 0, "edges": [[0]]}]}',
+    '{"n": 3, "graphs": [{"label": 0, "edges": [[0, 1, 0.25]]}]}',
+    '{"n": 3, "graphs": [{"label": 0, "edges": [[0, 1], [1, 2, 1]]}]}',
     '{"n": 3, "graphs": [{"label": 0, "edges": [[0, 7]]}]}',
     '{"n": 3, "graphs": [{"label": 0, "edges": []}], "injections": [[5]]}',
     '{"n": 4, "graphs": [{"label": 0, "edges": [[0, 1.7], [2, "3"]]}]}',
@@ -464,6 +476,7 @@ def test_malformed_dataset_raises_input_format_error(tmp_path, doc):
     '{"n": 5.9, "motifs": [{"id": 0, "edges": [[0, 1]]}]}',
     '{"n": 3, "motifs": [{"id": 0, "edges": [[0, 1], [true, 2]]}]}',
     '{"n": 3, "motifs": [{"id": 0, "edges": [[0, 7]]}]}',
+    '{"n": 3, "motifs": [{"id": 0, "edges": [[0, 1, 0.5]]}]}',
     '{"n": 3, "motifs": [[0, 1]]}',
     '{"n": -4, "motifs": []}',
 ])
@@ -477,6 +490,8 @@ def test_malformed_motif_file_raises_input_format_error(tmp_path, doc):
 @pytest.mark.parametrize("doc", [
     '{"edges": [[0, 1]]}',
     '{"n": 4, "edges": [[0]]}',
+    '{"n": 4, "edges": [[0, 1, 0.25]]}',
+    '{"n": 4, "edges": [[0, 1], [1, 2, 3, 4]]}',
     '{"n": 4, "edges": [[3, 3]]}',
     '{"n": 4, "edges": [[0, 4]]}',
     '{"n": 4, "edges": [[0, 1.7], [2, "3"]]}',
@@ -494,11 +509,11 @@ def test_malformed_graph_file_raises_input_format_error(tmp_path, doc):
 
 def test_first_offending_edge_is_reported():
     with pytest.raises(ParameterError, match=r"edge \(1, 5\) outside node universe \[0, 4\)"):
-        Graph.from_edges(4, [(0, 1), (5, 1), (2, 2)])
+        Graph(4, [(0, 1), (5, 1), (2, 2)])
     with pytest.raises(ParameterError, match="self-loop on node 2"):
-        Graph.from_edges(4, [(0, 1), (2, 2), (5, 1)])
+        Graph(4, [(0, 1), (2, 2), (5, 1)])
     with pytest.raises(ParameterError, match="node ids must be integers"):
-        Graph.from_edges(4, [(0, 1), (2, 2.0)])
+        Graph(4, [(0, 1), (2, 2.0)])
 
 
 def test_negative_node_count_is_rejected_without_graphs(tmp_path):

@@ -12,7 +12,7 @@ from motifshap import (
 from conftest import philox, random_graph, random_motif_set, random_weighted_graph
 
 
-G = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+G = Graph(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
 PATH = Motif(0, frozenset({(0, 1), (1, 2)}))
 STAR = Motif(1, frozenset({(2, 3), (3, 4)}))
 
@@ -52,7 +52,7 @@ def test_weighted_input_comes_out_unweighted():
 
 
 def test_motif_beyond_universe_rejected():
-    small = Graph.from_edges(3, [(0, 1)])
+    small = Graph(3, [(0, 1)])
     for strat in (MaskingStrategy.remove(), MaskingStrategy.toggle()):
         with pytest.raises(UniverseMismatchError):
             strat.mask(small, [Motif(0, frozenset({(2, 3)}))])
@@ -82,10 +82,10 @@ def test_remove_idempotence_seeded():
 
 def _background() -> LabeledDataset:
     graphs = (
-        Graph.from_edges(6, [(0, 1), (1, 2)]),
-        Graph.from_edges(6, [(0, 1)]),
-        Graph.from_edges(6, [(0, 1), (2, 3)]),
-        Graph.from_edges(6, [(4, 5)]),
+        Graph(6, [(0, 1), (1, 2)]),
+        Graph(6, [(0, 1)]),
+        Graph(6, [(0, 1), (2, 3)]),
+        Graph(6, [(4, 5)]),
     )
     return LabeledDataset(6, graphs, (0, 0, 1, 1))
 
@@ -130,10 +130,10 @@ def test_average_lists_only_weights_other_than_one():
     other than 1.0 and the input's own weights off the union; an input
     weight on a union edge whose frequency is 1.0 disappears."""
     background = LabeledDataset(6, (
-        Graph.from_edges(6, [(0, 1), (1, 2)]),
-        Graph.from_edges(6, [(0, 1)]),
-        Graph.from_edges(6, [(0, 1), (2, 3)]),
-        Graph.from_edges(6, [(0, 1), (4, 5)]),
+        Graph(6, [(0, 1), (1, 2)]),
+        Graph(6, [(0, 1)]),
+        Graph(6, [(0, 1), (2, 3)]),
+        Graph(6, [(0, 1), (4, 5)]),
     ), (0, 0, 1, 1))
     strat = MaskingStrategy.average(background)
     g = Graph(6, G.edges, {(0, 1): 0.3, (1, 2): 0.6, (2, 3): 0.4})
@@ -155,7 +155,7 @@ def test_average_needs_nonempty_background():
 def test_average_background_universe_must_match():
     strat = MaskingStrategy.average(_background())
     with pytest.raises(UniverseMismatchError):
-        strat.mask(Graph.from_edges(5, [(0, 1)]), [Motif(0, frozenset({(0, 1)}))])
+        strat.mask(Graph(5, [(0, 1)]), [Motif(0, frozenset({(0, 1)}))])
 
 
 def test_average_outside_edges_bit_identical_seeded():

@@ -37,7 +37,7 @@ def brute_force_frequent(d: LabeledDataset, s: int, max_size: int,
 
 
 def _dataset(graph_edges, labels=None, n=6):
-    graphs = tuple(Graph.from_edges(n, e) for e in graph_edges)
+    graphs = tuple(Graph(n, e) for e in graph_edges)
     if labels is None:
         labels = tuple(i % 2 for i in range(len(graphs)))
     return LabeledDataset(n, graphs, tuple(labels))

@@ -93,7 +93,7 @@ def test_ks_invariant_under_monotone_transform():
 
 
 def _two_class_dataset(class0, class1, n=6):
-    graphs = tuple(Graph.from_edges(n, e) for e in class0 + class1)
+    graphs = tuple(Graph(n, e) for e in class0 + class1)
     labels = tuple([0] * len(class0) + [1] * len(class1))
     return LabeledDataset(n, graphs, labels)
 
