@@ -113,6 +113,8 @@ def test_weight_validation():
     for key in ((0, 1, 2), (0,), 5):
         with pytest.raises(ParameterError, match="exactly 3 entries"):
             Graph(4, frozenset({(0, 1)}), {key: 0.5})
+    with pytest.raises(ParameterError, match=r"weighted edge \(1, 3\) is not listed"):
+        Graph(4, [(0, 1)], {(0, 1): 0.5, (3, 1): 0.5, (2, 3): 0.5})
 
 
 def test_weight_keys_canonicalized():
@@ -514,6 +516,8 @@ def test_first_offending_edge_is_reported():
         Graph(4, [(0, 1), (2, 2), (5, 1)])
     with pytest.raises(ParameterError, match="node ids must be integers"):
         Graph(4, [(0, 1), (2, 2.0)])
+    with pytest.raises(ParameterError, match="exactly 2 entries"):
+        Graph(4, [(0, 1), (1, 2, 0.5)])
 
 
 def test_negative_node_count_is_rejected_without_graphs(tmp_path):
