@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import select
 import subprocess
 import sys
@@ -44,6 +45,7 @@ from .graphs import (
     Motif,
     _as_int,
     _edge_fragments,
+    _pack_pairs,
     _weighted_graph,
     pack_edges,
     pair_index,
@@ -245,6 +247,96 @@ def _request_line(rid: int, g: Graph) -> bytes:
     return f'{{"id":{rid},"n":{g.n},"edges":[{",".join(parts)}]}}\n'.encode("ascii")
 
 
+#: Digits of n and of each node id in a canonical request, so that n * n
+#: and each pair index fit an int64; its id has at most 18, far from the
+#: digit limit of int()
+_ID_DIGITS = 9
+_CANONICAL_HEAD = re.compile(
+    rb'\{"id":(0|[1-9][0-9]{0,17}),"n":(0|[1-9][0-9]{0,%d}),"edges":\[' % (_ID_DIGITS - 1))
+#: The least node id of each digit count without a leading zero
+_LEAST_ID = np.array([0] + [10 ** i for i in range(1, _ID_DIGITS)], np.int64)
+#: JSON numbers without a sign, joined by ","
+_NUMBER = rb"(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+_CANONICAL_WEIGHTS = re.compile(_NUMBER + rb"(?:," + _NUMBER + rb")*")
+_ONE_ENDING = int.from_bytes(b"1.0]", "little")
+_NUMBER_BYTES = b"0123456789.eE+-"
+
+
+def _decode_request(line: str) -> tuple[int, int, np.ndarray, np.ndarray, dict | None] | None:
+    """The inverse of _request_line: (id, n, u, v, weights) of a request line
+    in the canonical form {"id":<int>,"n":<int>,"edges":[[u,v,w],...]}, with
+    no whitespace and the keys in that order, or None for any other line.
+    u and v are int64 arrays of the node ids; weights maps (u, v) to each
+    weight other than 1.0, or is None when there are none.
+
+    The line must hold nothing a JSON reader would refuse or read another
+    way: integers without a sign or a leading zero, u < v < n with the pairs
+    in strictly ascending (u, v) order, so no pair is listed twice, and each
+    weight a JSON number without a sign in [0, 1]. So the graph is the one
+    the JSON path builds, and a line that breaks any rule, valid or not, is
+    left to that path and its errors. Never raises. Node ids are read with
+    numpy over the line's bytes, and only the weights other than the
+    literal 1.0 are read with float."""
+    try:
+        raw = line.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    head = _CANONICAL_HEAD.match(raw)
+    if head is None or not raw.endswith(b"]}"):
+        return None
+    rid, n = int(head[1]), int(head[2])
+    body = raw[head.end():-2]  # [u,v,w],[u,v,w],...
+    if not body:
+        return rid, n, np.zeros(0, np.int64), np.zeros(0, np.int64), None
+    # without its numbers, the body is "[,,]" once per edge, joined by ","
+    skeleton = body.translate(None, _NUMBER_BYTES) + b","
+    k = len(skeleton) // 5
+    if skeleton != b"[,,]," * k:
+        return None
+    # positions below index the line. Row r is "[" u "," v "," w "]", ended
+    # by its third comma (the last row by the list's "]") and followed by
+    # row r + 1; the head holds two commas. A number that stands before a
+    # "[" or after a "]" lies inside an id or a weight as read here, and
+    # fails its check
+    b = np.frombuffer(raw, np.uint8)
+    comma = np.append(np.flatnonzero(b == ord(","))[2:], len(raw) - 2).reshape(k, 3)
+    first, second, closing = comma[:, 0], comma[:, 1], comma[:, 2] - 1
+    # node ids: digits only, 1 to _ID_DIGITS of them, no leading zero
+    ends = np.concatenate((first, second))
+    lengths = ends - np.concatenate(([head.end()], comma[:-1, 2] + 1, first)) - 1
+    width = int(lengths.max())
+    if lengths.min() < 1 or width > _ID_DIGITS:
+        return None
+    # row j of window holds the (width - j)-th last byte of each id, as a
+    # digit value (other bytes wrap to 10 and above), or 0 before the id
+    window = (b - np.uint8(ord("0")))[ends - np.arange(width, 0, -1)[:, None]]
+    window *= np.arange(width, 0, -1)[:, None] <= lengths
+    if np.any(window > 9):
+        return None
+    ids = window[0].astype(np.int64)
+    for row in window[1:]:
+        ids = ids * 10 + row
+    if np.any(ids < _LEAST_ID[lengths - 1]):  # a leading zero
+        return None
+    u, v = ids[:k], ids[k:]
+    # u < v < n, so u * n + v orders the pairs as (u, v) does
+    if np.any(u >= v) or v.max() >= n or np.any(np.diff(u * n + v) <= 0):
+        return None
+    # weights: the literal 1.0 is read as it is, the rest with float; the
+    # four bytes that end row r, read as one integer, are "1.0]" or not
+    ending = np.ndarray(len(raw) - 3, "<u4", raw, strides=(1,))[closing - 3]
+    rest = np.flatnonzero((ending != _ONE_ENDING) | (second != closing - 4))
+    tokens = [raw[i:j] for i, j in zip((second[rest] + 1).tolist(), closing[rest].tolist())]
+    if tokens and _CANONICAL_WEIGHTS.fullmatch(b",".join(tokens)) is None:
+        return None
+    values = list(map(float, tokens))
+    if values and not 0.0 <= min(values) <= max(values) <= 1.0:
+        return None
+    weights = {pair: w for pair, w in zip(zip(u[rest].tolist(), v[rest].tolist()), values)
+               if w != 1.0}
+    return rid, n, u, v, weights or None
+
+
 #: Requests the wire client keeps in flight within one evaluate_batch call,
 #: so that encoding, the pipe and the served model overlap.
 WINDOW = 4
@@ -369,7 +461,7 @@ class ExternalBlackBox(BlackBox):
         rid = self._next_id - self._in_flight
         self._in_flight -= 1
         reply = self._recv()
-        if reply.get("id") != rid:
+        if type(reply.get("id")) is not int or reply["id"] != rid:  # 1.0 and true are no ids
             raise TransportError(
                 f"reply id {reply.get('id')!r} does not match request {rid}")
         p = reply.get("p")
@@ -429,7 +521,14 @@ def serve(bb: BlackBox, stdin: IO[str] | None = None,
     edge list, an edge that does not list exactly three entries, a
     self-loop, a node outside [0, n), or a weight that is not a number in
     [0, 1] raises InputFormatError. The CLI maps these to the usage and
-    format-error exit codes instead of answering garbage."""
+    format-error exit codes instead of answering garbage.
+
+    The line the client writes, {"id":<int>,"n":<int>,"edges":[[u,v,w],...]}
+    with no whitespace and its pairs in ascending order, is read by a strict
+    decoder, _decode_request, without json.loads. Every other line, and every
+    such line that breaks one of its rules, goes through json.loads and the
+    steps above, which alone raise. So both paths accept the same requests,
+    build the same graphs and raise the same errors."""
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
 
@@ -449,16 +548,22 @@ def serve(bb: BlackBox, stdin: IO[str] | None = None,
     reply({"ready": True})
 
     for line in filter(None, map(str.strip, stdin)):
-        try:
-            req = json.loads(line)
-            rid, n = _as_int(req["id"], "request id"), _as_int(req["n"], "node count")
-            if n < 0:
-                raise ParameterError("node count must be nonnegative")
-        except _BAD_REQUEST as exc:
-            raise InputFormatError(f"bad request: {exc}") from exc
-        bb.check_universe(n)
-        try:
-            g = _weighted_graph(n, req["edges"])
-        except _BAD_REQUEST as exc:
-            raise InputFormatError(f"bad request: {exc}") from exc
+        canonical = _decode_request(line)
+        if canonical is not None:
+            rid, n, u, v, weights = canonical
+            bb.check_universe(n)
+            g = Graph._trusted(n, _pack_pairs(u, v, n), weights)
+        else:
+            try:
+                req = json.loads(line)
+                rid, n = _as_int(req["id"], "request id"), _as_int(req["n"], "node count")
+                if n < 0:
+                    raise ParameterError("node count must be nonnegative")
+            except _BAD_REQUEST as exc:
+                raise InputFormatError(f"bad request: {exc}") from exc
+            bb.check_universe(n)
+            try:
+                g = _weighted_graph(n, req["edges"])
+            except _BAD_REQUEST as exc:
+                raise InputFormatError(f"bad request: {exc}") from exc
         reply({"id": rid, "p": bb.evaluate(g)})

@@ -142,6 +142,8 @@ def _load_correlation(spec: str, n_m: int) -> tuple[tuple[float, ...], ...] | No
         entries = doc["entries"]
         mat = [[0.0] * file_n_m for _ in range(file_n_m)]
         for item in entries:
+            if type(item) is not list or len(item) != 3:
+                raise ValueError(f"correlation entry {item!r} does not list exactly three items")
             i, j = _as_int(item[0], "entry index"), _as_int(item[1], "entry index")
             if type(item[2]) not in (int, float):  # so not a bool or a string
                 raise ValueError(f"correlation {item[2]!r} is not a number")

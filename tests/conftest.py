@@ -9,13 +9,26 @@ from __future__ import annotations
 
 import math
 import os
+import pathlib
 from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from motifshap import Graph, Motif, erdos_renyi, graphs
+from motifshap import (
+    Graph,
+    MaskingStrategy,
+    Motif,
+    erdos_renyi,
+    graphs,
+    load_dataset,
+    load_motifs,
+)
+from motifshap.masking import MaskTables
+
+#: The small hand-written input of the golden-output tests
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -30,6 +43,18 @@ def random_weighted_graph(n: int, density: float, rng: np.random.Generator) -> G
     g = erdos_renyi(n, density, rng)
     weights = {e: float(w) for e, w in zip(g.sorted_edges(), rng.random(len(g.edges)))}
     return Graph(n, g.edges, weights)
+
+
+def golden_average_lattice() -> list[Graph]:
+    """Every masked graph of one average lattice over the golden motifs,
+    in coalition order, over a weighted graph whose weights lie on motif
+    edges and off them."""
+    d = load_dataset(GOLDEN / "data.json")
+    _, motifs = load_motifs(GOLDEN / "motifs.json")
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 9), (5, 6), (10, 11), (10, 12), (21, 22)]
+    weights = {(1, 2): 0.25, (2, 3): 0.5, (4, 9): 0.75, (5, 6): 0.3, (10, 11): 0.125}
+    tables = MaskTables(MaskingStrategy.average(d), Graph(30, edges, weights), motifs)
+    return [tables.graph(s) for s in range(1 << len(motifs))]
 
 
 def random_connected_motif(motif_id: int, n: int, n_edges: int,

@@ -151,6 +151,16 @@ def test_synth_correlation_must_be_a_number(tmp_path, capsys, value, detail):
     assert not (tmp_path / "data.json").exists()
 
 
+@pytest.mark.parametrize("entry", [[0, 1, 0.5, 9, "x"], [0, 1, 0.5, 0.5], [0, 1], "0,1"])
+def test_synth_correlation_entry_lists_three_items(tmp_path, capsys, entry):
+    corr_path = tmp_path / "corr.json"
+    corr_path.write_text(json.dumps({"n_m": 3, "entries": [entry]}))
+    assert run(_synth_args(tmp_path) + ["--corr", str(corr_path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputFormatError" and "exactly three items" in err["detail"]
+    assert not (tmp_path / "data.json").exists()
+
+
 def test_mine_and_rank_roundtrip(synth_files, tmp_path):
     data_path, _ = synth_files
     mined_path = tmp_path / "mined.json"

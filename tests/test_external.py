@@ -3,6 +3,7 @@ blackbox-serve server and against deliberately broken peers."""
 
 import io
 import json
+import re
 import sys
 import time
 
@@ -20,6 +21,7 @@ from motifshap import (
     LinearSurrogate,
     MaskingStrategy,
     Motif,
+    MotifShapError,
     SynthConfig,
     TransportError,
     UniverseMismatchError,
@@ -29,10 +31,18 @@ from motifshap import (
     serve,
     train_linear_surrogate,
 )
-from motifshap.blackbox import WINDOW, _request_line
-from motifshap.graphs import all_pairs
+from motifshap import blackbox
+from motifshap.blackbox import WINDOW, _decode_request, _request_line
+from motifshap.cli import run
+from motifshap.graphs import _weighted_graph, all_pairs
 
-from conftest import philox, random_graph, random_motif_set, random_weighted_graph
+from conftest import (
+    golden_average_lattice,
+    philox,
+    random_graph,
+    random_motif_set,
+    random_weighted_graph,
+)
 
 N = 10
 
@@ -166,6 +176,16 @@ def test_id_mismatch_rejected(tmp_path):
     body = CONSTANT_PEER.replace('req["id"]', '999')
     with ExternalBlackBox(_script(tmp_path, body)) as bb:
         with pytest.raises(TransportError):
+            bb.evaluate(Graph(3, [(0, 1)]))
+
+
+@pytest.mark.parametrize("reply_id", ["True", "1.0"])
+def test_reply_id_must_be_an_integer(tmp_path, reply_id):
+    # true == 1 and 1.0 == 1 in Python, but neither is the id of request 1
+    body = CONSTANT_PEER.replace('req["id"]', f'({reply_id} if req["id"] == 1 else req["id"])')
+    with ExternalBlackBox(_script(tmp_path, body)) as bb:
+        assert bb.evaluate(Graph(3, [(0, 1)])) == 0.5
+        with pytest.raises(TransportError, match=f"reply id {re.escape(reply_id)} does not"):
             bb.evaluate(Graph(3, [(0, 1)]))
 
 
@@ -355,7 +375,8 @@ def test_serve_empty_input_returns_quietly():
     assert out.getvalue() == ""
 
 
-@pytest.mark.parametrize("request_line", [
+#: Requests that blackbox-serve refuses with InputFormatError
+INVALID_WIRE_GRAPHS = [
     '{"id": 0, "n": 4, "edges": [[1, 1, 1.0]]}',
     '{"id": 0, "n": 4, "edges": [[0, 4, 1.0]]}',
     '{"id": 0, "n": 4, "edges": [[-1, 2, 1.0]]}',
@@ -384,7 +405,10 @@ def test_serve_empty_input_returns_quietly():
     '{"id": 1.5, "n": 4, "edges": []}',
     '{"id": true, "n": 4, "edges": []}',
     '{"id": 0, "n": -4, "edges": [[1, 1, 1.0]]}',
-])
+]
+
+
+@pytest.mark.parametrize("request_line", INVALID_WIRE_GRAPHS)
 def test_serve_rejects_invalid_wire_graph(request_line):
     bb = GroundTruthScorer(4, [Motif(0, frozenset({(0, 1)}), 1)], [1.0])
     stdin = io.StringIO('{"hello": "motif-shap/1"}\n' + request_line + "\n")
@@ -414,12 +438,16 @@ def test_serve_request_over_another_universe_is_a_mismatch():
         serve(bb, stdin, io.StringIO())
 
 
-@pytest.mark.parametrize("request_line", [
+#: Requests over 5 nodes whose edges are malformed as well
+OTHER_UNIVERSE = [
     '{"id": 0, "n": 5, "edges": [[1, 1, 1.0]]}',
     '{"id": 0, "n": 5, "edges": [[0, 1, "0.5"]]}',
     '{"id": 0, "n": 5, "edges": [[0, 1]]}',
     '{"id": 0, "n": 5}',
-])
+]
+
+
+@pytest.mark.parametrize("request_line", OTHER_UNIVERSE)
 def test_serve_checks_the_universe_before_the_edges(request_line):
     bb = GroundTruthScorer(4, [Motif(0, frozenset({(0, 1)}), 1)], [1.0])
     stdin = io.StringIO('{"hello": "motif-shap/1"}\n' + request_line + "\n")
@@ -459,3 +487,163 @@ def test_serve_a_black_box_that_declares_no_universe():
                         '{"id": 0, "n": 5, "edges": [[0, 1, 1.0]]}\n')
     with pytest.raises(UniverseMismatchError, match="scorer over 4"):
         serve(bb, stdin, io.StringIO())
+
+
+# --- the decoder of the client's canonical request line -----------------
+
+
+def _weight_bits(g):
+    return {e: w.hex() for e, w in (g.weights or {}).items()}
+
+
+def test_every_golden_lattice_line_takes_the_canonical_decoder():
+    for rid, g in enumerate(golden_average_lattice()):
+        line = _request_line(rid, g).decode("ascii").strip()
+        decoded = _decode_request(line)
+        assert decoded is not None, line
+        got_id, n, u, v, weights = decoded
+        req = json.loads(line)
+        expected = _weighted_graph(req["n"], req["edges"])
+        got = Graph._trusted(n, blackbox._pack_pairs(u, v, n), weights)
+        assert (got_id, got) == (rid, expected) and got == g
+        assert _weight_bits(got) == _weight_bits(expected)
+
+
+def _outcome(bb, line):
+    """What serve makes of one request: the reply line, or the type and
+    message of what it raises; and the graphs bb recorded, if it records
+    any."""
+    stdout = io.StringIO()
+    try:
+        serve(bb, io.StringIO('{"hello":"motif-shap/1"}\n' + line + "\n"), stdout)
+        result = stdout.getvalue().splitlines()[1]
+    except MotifShapError as exc:
+        result = type(exc), str(exc)
+    return result, getattr(bb, "graphs", None)
+
+
+def _both_paths(monkeypatch, line, make_bb):
+    """serve's outcome for line with the canonical decoder, and with every
+    line left to the JSON path, each with a fresh black box."""
+    fast = _outcome(make_bb(), line)
+    with monkeypatch.context() as m:
+        m.setattr(blackbox, "_decode_request", lambda line: None)
+        return fast, _outcome(make_bb(), line)
+
+
+@pytest.mark.parametrize("request_line", INVALID_WIRE_GRAPHS + OTHER_UNIVERSE)
+def test_compact_invalid_requests_raise_as_before(monkeypatch, request_line):
+    bb = GroundTruthScorer(4, [Motif(0, frozenset({(0, 1)}), 1)], [1.0])
+    compact = json.dumps(json.loads(request_line), separators=(",", ":"))
+    (fast, _), (slow, _) = _both_paths(monkeypatch, compact, lambda: bb)
+    assert fast == slow
+    assert fast[0] is (UniverseMismatchError if request_line in OTHER_UNIVERSE
+                       else InputFormatError)
+
+
+#: The scorer reads every edge of the 4-node path, so every weight moves p
+PATH_SCORER = GroundTruthScorer(4, [Motif(0, frozenset({(0, 1), (1, 2), (2, 3)}), 1)], [1.0])
+
+HUGE = "1" + "0" * 4999  # past the 4300 digits int() reads
+
+NEAR_CANONICAL = {
+    "canonical": '{"id":3,"n":4,"edges":[[0,1,1.0],[1,2,0.25],[2,3,0.5]]}',
+    "no edges": '{"id":3,"n":4,"edges":[]}',
+    "zero weight": '{"id":3,"n":4,"edges":[[0,1,0.0],[2,3,1.0]]}',
+    "18-digit id": '{"id":123456789012345678,"n":4,"edges":[[0,1,0.5]]}',
+    "19-digit id": '{"id":1234567890123456789,"n":4,"edges":[[0,1,0.5]]}',
+    "leading zero id": '{"id":01,"n":4,"edges":[[0,1,1.0]]}',
+    "leading zero n": '{"id":1,"n":04,"edges":[[0,1,1.0]]}',
+    "leading zero node": '{"id":1,"n":4,"edges":[[0,01,1.0]]}',
+    "leading zero weight": '{"id":1,"n":4,"edges":[[0,1,00.5]]}',
+    "minus zero id": '{"id":-0,"n":4,"edges":[[0,1,0.5]]}',
+    "minus zero node": '{"id":1,"n":4,"edges":[[-0,1,0.5]]}',
+    "minus zero weight": '{"id":1,"n":4,"edges":[[0,1,-0]]}',
+    "minus zero float weight": '{"id":1,"n":4,"edges":[[0,1,-0.0]]}',
+    "exponent weight 1e0": '{"id":1,"n":4,"edges":[[0,1,1e0],[1,2,0.5]]}',
+    "exponent weight 1E-5": '{"id":1,"n":4,"edges":[[0,1,1E-5]]}',
+    "exponent weights": '{"id":1,"n":4,"edges":[[0,1,5e-324],[1,2,2.5e-1],[2,3,1e+0]]}',
+    "exponent node": '{"id":1,"n":4,"edges":[[0,1e0,0.5]]}',
+    "huge exponent weight": '{"id":1,"n":4,"edges":[[0,1,1e400]]}',
+    "integer weights": '{"id":1,"n":4,"edges":[[0,1,0],[1,2,1],[2,3,0.5]]}',
+    "weight 1.5": '{"id":1,"n":4,"edges":[[0,1,1.5]]}',
+    "weight 21.0": '{"id":1,"n":4,"edges":[[0,1,21.0]]}',
+    "weight 1.": '{"id":1,"n":4,"edges":[[0,1,1.]]}',
+    "weight .5": '{"id":1,"n":4,"edges":[[0,1,.5]]}',
+    "weight 1.00": '{"id":1,"n":4,"edges":[[0,1,1.00],[1,2,0.50]]}',
+    "empty weight": '{"id":1,"n":4,"edges":[[0,1,]]}',
+    "descending pairs": '{"id":1,"n":4,"edges":[[1,2,0.5],[0,1,1.0]]}',
+    "descending ids": '{"id":1,"n":4,"edges":[[1,0,0.5]]}',
+    "repeated pair, 1.0 last": '{"id":1,"n":4,"edges":[[0,1,0.5],[0,1,1.0]]}',
+    "repeated pair, 1.0 first": '{"id":1,"n":4,"edges":[[0,1,1.0],[0,1,0.5]]}',
+    "repeated pair, both weighted": '{"id":1,"n":4,"edges":[[0,1,0.25],[0,1,0.75]]}',
+    "pair repeated in reverse": '{"id":1,"n":4,"edges":[[0,1,0.25],[1,0,1.0]]}',
+    "self-loop": '{"id":1,"n":4,"edges":[[1,1,0.5]]}',
+    "node n": '{"id":1,"n":4,"edges":[[0,4,1.0]]}',
+    "16-digit node": '{"id":1,"n":4,"edges":[[0,1234567890123456,1.0]]}',
+    "5000-digit node": '{"id":1,"n":4,"edges":[[0,' + HUGE + ',1.0]]}',
+    "5000-digit id": '{"id":' + HUGE + ',"n":4,"edges":[]}',
+    "5000-digit n": '{"id":1,"n":' + HUGE + ',"edges":[]}',
+    "5000-digit weight": '{"id":1,"n":4,"edges":[[0,1,' + HUGE + ']]}',
+    "other universe": '{"id":1,"n":5,"edges":[[0,1,1.0]]}',
+    "10-digit n": '{"id":1,"n":1000000000,"edges":[[0,1,1.0]]}',
+    "non-ASCII byte": '{"id":1,"n":4,"edges":[[0,1,1.0\u00e9]]}',
+    "non-ASCII digit": '{"id":1,"n":4,"edges":[[0,\u0661,1.0]]}',
+    "whitespace": '{"id":1,"n":4,"edges":[[0,1, 0.5]]}',
+    "keys reordered": '{"n":4,"id":1,"edges":[[0,1,0.5]]}',
+    "extra key": '{"id":1,"n":4,"edges":[[0,1,0.5]],"x":0}',
+    "number between rows": '{"id":1,"n":4,"edges":[[0,1,0.5]5,[1,2,1.0]]}',
+    "number before the first row": '{"id":1,"n":4,"edges":[5[0,1,0.5]]}',
+    "number after the last row": '{"id":1,"n":4,"edges":[[0,1,0.5]5]}',
+    "two entries": '{"id":1,"n":4,"edges":[[0,1]]}',
+    "four entries": '{"id":1,"n":4,"edges":[[0,1,0.5,1]]}',
+    "plus sign": '{"id":1,"n":4,"edges":[[0,+1,0.5]]}',
+    "trailing comma": '{"id":1,"n":4,"edges":[[0,1,0.5],]}',
+    # node ids that are no JSON integers, over a universe that holds the
+    # values a reader of digits would make of them
+    "exponent node, large n": '{"id":1,"n":1000,"edges":[[1e0,999,0.5]]}',
+    "float node, large n": '{"id":1,"n":3000,"edges":[[1.0,2999,0.5]]}',
+    "number between rows, large n": '{"id":1,"n":1000,"edges":[[0,1,0.5],5[1,2,1.0]]}',
+    "number before the first row, large n": '{"id":1,"n":1000,"edges":[5[0,1,0.5]]}',
+}
+
+
+class _Recorder(BlackBox):
+    """Declares no universe, answers 0.5 and keeps each graph it is asked
+    about, with its weights' bits."""
+
+    def __init__(self):
+        self.graphs = []
+
+    def evaluate(self, g):
+        self.graphs.append((g, _weight_bits(g)))
+        return 0.5
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_CANONICAL))
+def test_near_canonical_requests_answer_as_the_json_path(monkeypatch, name):
+    line = NEAR_CANONICAL[name]
+    fast, slow = _both_paths(monkeypatch, line, lambda: PATH_SCORER)
+    assert fast == slow
+    # the same graph, whatever the universe; a black box without one would
+    # pack the 5e17 pairs of 10-digit n
+    if name != "10-digit n":
+        fast, slow = _both_paths(monkeypatch, line, _Recorder)
+        assert fast == slow
+
+
+def test_near_canonical_requests_take_both_paths():
+    # the cases above reach the canonical decoder and the JSON path alike
+    taken = {name for name, line in NEAR_CANONICAL.items() if _decode_request(line)}
+    assert taken == {"canonical", "no edges", "zero weight", "18-digit id",
+                     "exponent weight 1e0", "exponent weight 1E-5", "exponent weights",
+                     "integer weights", "weight 1.00", "other universe"}
+
+
+def test_5000_digit_request_still_exits_3(monkeypatch, tmp_path, capsys):
+    path, _ = _motif_file(tmp_path)
+    for name in ("5000-digit node", "5000-digit id", "5000-digit n"):
+        line = NEAR_CANONICAL[name].replace('"n":4,', f'"n":{N},')
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"hello":"motif-shap/1"}\n' + line + "\n"))
+        assert run(["blackbox-serve", "--motifs", str(path), "--rho", "0.8,0.5"]) == 3, name
+        assert json.loads(capsys.readouterr().err)["error"] == "InputFormatError"

@@ -6,21 +6,23 @@ A refactor that keeps every score, file byte and request byte keeps these
 digests. A digest changes only in a change that states which output moved
 and why. The input is written by hand, not drawn from a seeded generator,
 because numpy does not promise its random streams across versions. The
-surrogate is left out: its x @ w may sum in a CPU-dependent order.
+surrogate has no digest: its x @ w may sum in a CPU-dependent order, so the
+served surrogate is compared with the one in process instead.
 """
 
 import hashlib
-import pathlib
+import io
+import json
 
 import pytest
 
-from motifshap import Graph, MaskingStrategy, load_dataset, load_motifs
+from motifshap import load_dataset, load_motifs, serve, train_linear_surrogate
 from motifshap.blackbox import _request_line
 from motifshap.cli import run
 from motifshap.graphs import dataset_to_json, motifs_to_json
-from motifshap.masking import MaskTables
 
-GOLDEN = pathlib.Path(__file__).parent / "golden"
+from conftest import GOLDEN, golden_average_lattice
+
 RHO = "0.9,0.5,0.7,0.3"
 
 
@@ -82,11 +84,24 @@ def test_file_writers_are_pinned():
 def test_request_lines_of_an_average_lattice_are_pinned():
     """The wire request of every masked graph of one average lattice over a
     weighted graph, whose weights lie on motif edges and off them."""
-    d = load_dataset(GOLDEN / "data.json")
-    _, motifs = load_motifs(GOLDEN / "motifs.json")
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 9), (5, 6), (10, 11), (10, 12), (21, 22)]
-    weights = {(1, 2): 0.25, (2, 3): 0.5, (4, 9): 0.75, (5, 6): 0.3, (10, 11): 0.125}
-    tables = MaskTables(MaskingStrategy.average(d), Graph(30, edges, weights), motifs)
-    lines = b"".join(_request_line(s, tables.graph(s)) for s in range(1 << len(motifs)))
+    lattice = golden_average_lattice()
+    lines = b"".join(_request_line(s, g) for s, g in enumerate(lattice))
     assert _sha(lines) == (
         "e0bd8b523b60d57a715284ee5fd22f80e9ba85c5b48b386f5b1203cb7b512072")
+
+
+def test_served_surrogate_equals_in_process_over_the_pinned_lattice():
+    """The surrogate trained on the golden dataset, served in process over
+    the pinned request lines, answers each one as it evaluates the graph in
+    process. Its x @ w may sum in a CPU-dependent order, so it is compared
+    with itself rather than with a digest; the comparison still catches a
+    request decoder that reads a weight other than the JSON reader does."""
+    model = train_linear_surrogate(load_dataset(GOLDEN / "data.json"))
+    lattice = golden_average_lattice()
+    hello = '{"hello":"motif-shap/1"}\n'
+    stdin = io.StringIO(hello + "".join(_request_line(s, g).decode("ascii")
+                                        for s, g in enumerate(lattice)))
+    stdout = io.StringIO()
+    serve(model, stdin, stdout)
+    replies = [json.loads(line) for line in stdout.getvalue().splitlines()[1:]]
+    assert replies == [{"id": s, "p": model.evaluate(g)} for s, g in enumerate(lattice)]
