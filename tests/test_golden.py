@@ -105,3 +105,112 @@ def test_served_surrogate_equals_in_process_over_the_pinned_lattice():
     serve(model, stdin, stdout)
     replies = [json.loads(line) for line in stdout.getvalue().splitlines()[1:]]
     assert replies == [{"id": s, "p": model.evaluate(g)} for s, g in enumerate(lattice)]
+
+
+RUN_IN_DIR = {
+    "explain-paper": ["explain", "--motifs", "motifs.json", "--dataset", "data.json",
+                      "--graph", "all", "--weights", "paper", "--rho", RHO,
+                      "--out", "out.json"],
+    "explain-paper-direct": ["explain", "--motifs", "motifs.json", "--dataset", "data.json",
+                             "--graph", "all", "--weights", "paper-direct", "--rho", RHO,
+                             "--out", "out.json"],
+    "eval-separability": ["eval", "separability", "--dataset", "data.json",
+                          "--out", "out.json", "--csv", "out.csv"],
+    "eval-expected": ["eval", "expected", "--dataset", "data.json", "--motifs", "motifs.json",
+                      "--rho", RHO, "--out", "out.json", "--csv", "out.csv"],
+    "eval-approx-corr": ["eval", "approx-corr", "--dataset", "data.json",
+                         "--motifs", "motifs.json", "--depths", "1,2,3", "--rho", RHO,
+                         "--out", "out.json", "--csv", "out.csv"],
+    "eval-global": ["eval", "global", "--dataset", "data.json", "--motifs", "motifs.json",
+                    "--rho", RHO, "--out", "out.json", "--csv", "out.csv"],
+    "mine": ["mine", "--dataset", "data.json", "--support", "3", "--max-size", "3",
+             "--out", "out.json"],
+    "rank": ["rank", "--dataset", "data.json", "--motifs", "motifs.json", "--k", "3",
+             "--out", "out.json"],
+}
+
+#: digests of each file a command writes; a manifest's is taken without its
+#: "timestamp" line
+RUN_IN_DIR_FILES = {
+    "eval-approx-corr": {
+        "out.csv":
+            "3e5f82ef8dd1f0436be16d729127d261d7630bab0fda68a454e2401414cafd68",
+        "out.json":
+            "0247687814e31d624dd1c3edcaf5eedf7ce8177dbe70a076a825f429743c776d",
+        "out.json.manifest.json":
+            "146c0fdb5cbd0fb5a1659a667ee6e82059c1d6ec32ef0b383f09854a2d0ffc9e",
+    },
+    "eval-expected": {
+        "out.csv":
+            "f6c79f2b00e48832892f7e8d02fef08344ec8f63e20755de8f89478de3fdfecb",
+        "out.json":
+            "346f1fd7c5f9caad17beb036eddb81d6f56fc1e20ab754db3136bb1a18ec9d8d",
+        "out.json.manifest.json":
+            "76158c6b209cb95ef38b54cfea24259b847225ce89542c18c95638742ec51485",
+    },
+    "eval-global": {
+        "out.csv":
+            "eca923e4dad223147f4c94c76d6a5b9816de6017df6321d598d4c137c4ffa70e",
+        "out.json":
+            "9a4bd41de5d7b6cbd5c0c2a5060e11c2efa2ea4c52edefc7f1edd2cef423c0ee",
+        "out.json.manifest.json":
+            "5d639a08f879cbfbdb012f15d4569e4da70a72eb0b2ee01bd68f267d1fd20e66",
+    },
+    "eval-separability": {
+        "out.csv":
+            "2d9ddadbee0324cf69026d2563532538e9a2d4baafacd7d3bb72a1707326079c",
+        "out.json":
+            "6aad481ce5021e018dd1a7c1982ebe2a930749f7a46837dbacb7f9aeb0f87756",
+        "out.json.manifest.json":
+            "f758dae1025028290f473e7c552f1eeec83bb17fcd40f00601794fcfb8382d4a",
+    },
+    "explain-paper": {
+        "out.json":
+            "46f6ef66840b351cd66252e49890635b16170f47962aae8716ab3f5ec2ded62c",
+        "out.json.manifest.json":
+            "416326179eb992b892ee6406cf65f0f793ad8df716a6e6082428a828dae404e0",
+    },
+    "explain-paper-direct": {
+        "out.json":
+            "ad3f2def4818bd0a882d111629146a2e59c42e45f76bb035ef80789591a0765c",
+        "out.json.manifest.json":
+            "cfd5b7152e99ff7498a35680055db012e154d8f2b124cc25f231748f49505e5a",
+    },
+    "mine": {
+        "out.json":
+            "09ee72c2e0f4ff9a11523c931ed3ffc93c95dfb3b7808823e162c417362299b4",
+        "out.json.manifest.json":
+            "7287440927ce1d93dd780c62bc4d23b9f435de6b50370656902547936482f0de",
+    },
+    "rank": {
+        "out.json":
+            "c7a805e9336c89fdd98209909cb4e4a9dae1ce6eb18c5f0d8ee22b02bd87073a",
+        "out.json.manifest.json":
+            "3de882500b7370f18d4635aa0a34f06cb4d17076def5161f56c4d411be892fc1",
+    },
+}
+
+
+def _manifest_sans_timestamp(data: bytes) -> bytes:
+    lines = data.splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(b'  "timestamp": ')]
+    assert len(kept) == len(lines) - 1
+    return b"".join(kept)
+
+
+@pytest.mark.parametrize("name", sorted(RUN_IN_DIR))
+def test_outputs_and_manifests_are_pinned(tmp_path, monkeypatch, name):
+    """Run in a directory holding the golden input, with relative paths, so
+    that a manifest's config, inputs and output entries are stable."""
+    for f in ("data.json", "motifs.json"):
+        (tmp_path / f).write_bytes((GOLDEN / f).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert run(RUN_IN_DIR[name]) == 0
+    digests = {}
+    for p in tmp_path.iterdir():
+        if p.name not in ("data.json", "motifs.json"):
+            data = p.read_bytes()
+            if p.name.endswith(".manifest.json"):
+                data = _manifest_sans_timestamp(data)
+            digests[p.name] = _sha(data)
+    assert digests == RUN_IN_DIR_FILES[name]
