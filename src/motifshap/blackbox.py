@@ -436,7 +436,7 @@ class ExternalBlackBox(BlackBox):
         self._rxbuf = bytearray(rest)
         try:
             obj = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer past int()'s digit limit
             raise TransportError(f"malformed reply line: {line!r}") from exc
         if not isinstance(obj, dict):
             raise TransportError(f"reply is not a JSON object: {obj!r}")
@@ -467,10 +467,9 @@ class ExternalBlackBox(BlackBox):
         p = reply.get("p")
         if not isinstance(p, (int, float)) or isinstance(p, bool):
             raise TransportError(f"reply probability is not a number: {p!r}")
-        p = float(p)
-        if not 0.0 <= p <= 1.0 or math.isnan(p):
+        if not 0 <= p <= 1:  # NaN too; before float(), which a large integer overflows
             raise TransportError(f"reply probability {p} outside [0, 1]")
-        return p
+        return float(p)
 
     def evaluate_batch(self, graphs: Sequence[Graph]) -> list[float]:
         # evaluate is called once per graph, in order, so a subclass that

@@ -6,11 +6,11 @@ graph, or a graph file), eval (separability / expected / approx-corr /
 global reports), pipeline (declarative stage list), and blackbox-serve
 (expose a built-in black box over the external wire protocol).
 
-Every output file is written atomically and gets a sidecar
-<out>.manifest.json recording the tool version, subcommand, resolved
-configuration, input digests, seed and timestamp, so runs can be audited
-and reproduced. All randomness flows from explicit --seed flags; errors
-are printed to stderr as one-line JSON and mapped to exit codes 2
+Every output file is written atomically. Each but a --csv table gets a
+sidecar <out>.manifest.json recording the tool version, subcommand,
+resolved configuration, input digests, seed and timestamp, so runs can be
+audited and reproduced. All randomness flows from explicit --seed flags;
+errors are printed to stderr as one-line JSON and mapped to exit codes 2
 (usage), 3 (input format) and 4 (black-box transport).
 """
 
@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import shlex
 import statistics
 import sys
 from datetime import datetime, timezone
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import __version__
 from .blackbox import (
@@ -88,37 +89,41 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _jsonable_config(args: argparse.Namespace) -> dict:
-    skip = {"cmd", "evalcmd"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        out[key] = value
-    return out
-
-
-def _write_manifest(out_path: str, subcommand: str, args: argparse.Namespace,
-                    inputs: Sequence[str], seed: int | None,
-                    extra: dict | None = None) -> None:
-    """Write out_path's manifest. Digests are of the bytes this process
-    parsed from each input and wrote to out_path, not of the files now."""
+def _write(args: argparse.Namespace, path: str, text: str,
+           inputs: Sequence[str], extra: dict | None = None) -> None:
+    """Write text to path, then path's manifest. Its subcommand, config and
+    seed are read from args; its digests are of the bytes this process
+    parsed from each input and wrote to path, not of the files now."""
+    atomic_write_text(path, text)
     manifest = {
         "tool": "motifshap",
         "tool_version": __version__,
         "format_version": FORMAT_VERSION,
-        "subcommand": subcommand,
-        "config": _jsonable_config(args),
+        "subcommand": f"eval {args.evalcmd}" if args.cmd == "eval" else args.cmd,
+        "config": {k: v for k, v in vars(args).items() if k not in ("cmd", "evalcmd")},
         "inputs": {p: last_digest(p) for p in inputs},
-        "output": out_path,
-        "output_digest": last_digest(out_path),
-        "seed": seed,
+        "output": path,
+        "output_digest": last_digest(path),
+        "seed": getattr(args, "seed", None),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     if extra:
         manifest["extra"] = extra
-    atomic_write_text(out_path + ".manifest.json",
+    atomic_write_text(path + ".manifest.json",
                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _report(args: argparse.Namespace, doc: object, inputs: Sequence[str],
+            header: Sequence[str] = (), rows: Iterable[Sequence] = ()) -> None:
+    """Write doc as compact JSON to --out, with its manifest, and header and
+    rows as a table to --csv when one is given; a table gets no manifest."""
+    _write(args, args.out, json.dumps(doc, separators=(",", ":")) + "\n", inputs)
+    if getattr(args, "csv", None):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        atomic_write_text(args.csv, buf.getvalue())
 
 
 def _parse_rho(text: str) -> tuple[float, ...]:
@@ -139,9 +144,8 @@ def _load_correlation(spec: str, n_m: int) -> tuple[tuple[float, ...], ...] | No
     doc = _read_json(spec)
     try:
         file_n_m = _as_int(doc["n_m"], "n_m")
-        entries = doc["entries"]
-        mat = [[0.0] * file_n_m for _ in range(file_n_m)]
-        for item in entries:
+        entries = []
+        for item in doc["entries"]:
             if type(item) is not list or len(item) != 3:
                 raise ValueError(f"correlation entry {item!r} does not list exactly three items")
             i, j = _as_int(item[0], "entry index"), _as_int(item[1], "entry index")
@@ -152,15 +156,18 @@ def _load_correlation(spec: str, n_m: int) -> tuple[tuple[float, ...], ...] | No
                 raise ValueError(f"entry ({i}, {j}) out of range")
             if not 0.0 <= c <= 1.0:
                 raise ValueError(f"correlation {c} outside [0, 1]")
-            mat[i][j] = c
-            mat[j][i] = c
-        for i in range(file_n_m):
-            mat[i][i] = 1.0
+            entries.append((i, j, c))
     except (KeyError, TypeError, ValueError, IndexError, OverflowError, ParameterError) as exc:
         raise InputFormatError(f"{spec}: malformed correlation file: {exc}") from exc
+    # before the n_m x n_m matrix exists, which a large n_m cannot afford
     if file_n_m != n_m:
         raise ParameterError(
             f"correlation file covers {file_n_m} motifs, expected {n_m}")
+    mat = [[0.0] * n_m for _ in range(n_m)]
+    for i, j, c in entries:
+        mat[i][j] = mat[j][i] = c
+    for i in range(n_m):
+        mat[i][i] = 1.0
     return tuple(tuple(row) for row in mat)
 
 
@@ -317,22 +324,6 @@ def _explanation_doc(ex: Explanation) -> dict:
     }
 
 
-def _write_motifs(path: str, n: int, motifs: list[Motif],
-                  scores: list[float] | None = None) -> None:
-    """Write a motif file and cache its motifs as the parse of its bytes,
-    so a later stage of the same process reads them without parsing."""
-    atomic_write_text(path, motifs_to_json(n, motifs, scores) + "\n")
-    remember_motifs(path, n, motifs)
-
-
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
-
-
 # --- subcommand implementations -----------------------------------------
 
 
@@ -347,10 +338,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     inputs = [] if args.corr == "identity" else [args.corr]
     extra = {"injection_rates": list(record.rates())}
 
-    atomic_write_text(args.out, dataset_to_json(dataset) + "\n")
-    _write_manifest(args.out, "synth", args, inputs, args.seed, extra)
-    atomic_write_text(args.motifs_out, motifs_to_json(args.nodes, motifs) + "\n")
-    _write_manifest(args.motifs_out, "synth", args, inputs, args.seed, extra)
+    _write(args, args.out, dataset_to_json(dataset) + "\n", inputs, extra)
+    _write(args, args.motifs_out, motifs_to_json(args.nodes, motifs) + "\n", inputs, extra)
     return 0
 
 
@@ -359,9 +348,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     cfg = MinerConfig(support_threshold=args.support, max_size=args.max_size,
                       label=args.label)
     motifs = mine(dataset, cfg)
-    _write_motifs(args.out, dataset.n, motifs)
-    _write_manifest(args.out, "mine", args, [args.dataset], None,
-                    {"motif_count": len(motifs)})
+    _write(args, args.out, motifs_to_json(dataset.n, motifs) + "\n", [args.dataset],
+           {"motif_count": len(motifs)})
+    # a later stage of the same process reads the motifs without parsing
+    remember_motifs(args.out, dataset.n, motifs)
     return 0
 
 
@@ -374,9 +364,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     cfg = RankerConfig(dt=args.dt, st=args.st, k=args.k)
     selected = rank_and_select(motifs, dataset, cfg)
     scores = [cross_support(m, dataset) for m in selected]
-    _write_motifs(args.out, n, selected, scores)
-    _write_manifest(args.out, "rank", args, [args.dataset, args.motifs], None,
-                    {"selected": len(selected)})
+    _write(args, args.out, motifs_to_json(n, selected, scores) + "\n",
+           [args.dataset, args.motifs], {"selected": len(selected)})
+    remember_motifs(args.out, n, selected)
     return 0
 
 
@@ -384,27 +374,14 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     job = _explain_job(args, None)
     with _build_blackbox(args, job.n, job.motifs, job.inputs) as bb:
         docs = [_explanation_doc(ex) for ex in _explain_graphs(args, job, bb)]
-    payload = docs if args.graph == "all" else docs[0]
-    atomic_write_text(args.out, json.dumps(payload, separators=(",", ":")) + "\n")
-    _write_manifest(args.out, "explain", args, job.inputs, None)
+    _report(args, docs if args.graph == "all" else docs[0], job.inputs)
     return 0
 
 
 def _cmd_eval_separability(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
-    report = separability(dataset, max_pairs=args.max_pairs, seed=args.seed)
-    doc = {
-        "ks_statistic": report.ks_statistic,
-        "p_value": report.p_value,
-        "n_intra": report.n_intra,
-        "n_inter": report.n_inter,
-    }
-    atomic_write_text(args.out, json.dumps(doc, separators=(",", ":")) + "\n")
-    _write_manifest(args.out, "eval separability", args, [args.dataset], args.seed)
-    if args.csv:
-        _write_csv(args.csv, ["ks_statistic", "p_value", "n_intra", "n_inter"],
-                   [[report.ks_statistic, report.p_value,
-                     report.n_intra, report.n_inter]])
+    doc = dataclasses.asdict(separability(dataset, max_pairs=args.max_pairs, seed=args.seed))
+    _report(args, doc, [args.dataset], list(doc), [list(doc.values())])
     return 0
 
 
@@ -418,15 +395,11 @@ def _cmd_eval_expected(args: argparse.Namespace) -> int:
     doc = {
         "n_g": len(table.matrix),
         "n_m": len(motifs),
-        "matrix": [list(row) for row in table.matrix],
+        "matrix": table.matrix,
     }
-    atomic_write_text(args.out, json.dumps(doc, separators=(",", ":")) + "\n")
-    _write_manifest(args.out, "eval expected", args,
-                    [args.dataset, args.motifs], None)
-    if args.csv:
-        rows = [[i, motifs[j].id, table.matrix[i][j]]
-                for i in range(len(table.matrix)) for j in range(len(motifs))]
-        _write_csv(args.csv, ["graph", "motif", "expected_score"], rows)
+    rows = ([i, motifs[j].id, table.matrix[i][j]]
+            for i in range(len(table.matrix)) for j in range(len(motifs)))
+    _report(args, doc, [args.dataset, args.motifs], ["graph", "motif", "expected_score"], rows)
     return 0
 
 
@@ -463,10 +436,7 @@ def _cmd_eval_approx_corr(args: argparse.Namespace) -> int:
         "undefined": skipped,
         "per_graph": per_graph,
     }
-    atomic_write_text(args.out, json.dumps(doc, separators=(",", ":")) + "\n")
-    _write_manifest(args.out, "eval approx-corr", args, job.inputs, None)
-    if args.csv:
-        _write_csv(args.csv, ["graph", "depth", "pearson"], rows)
+    _report(args, doc, job.inputs, ["graph", "depth", "pearson"], rows)
     return 0
 
 
@@ -478,27 +448,16 @@ def _cmd_eval_global(args: argparse.Namespace) -> int:
     with _build_blackbox(args, job.n, job.motifs, job.inputs) as bb:
         explanations = _explain_graphs(args, job, bb)
 
-    ranking = global_ranking(explanations)
     position = {mid: pos for pos, mid in enumerate(explanations[0].motif_ids)}
-    signed = {}
-    for mid, _ in ranking:
-        pos = position[mid]
-        signed[mid] = sum(ex.scores[pos] for ex in explanations) / len(explanations)
     entries = []
-    for mid, mean_abs in ranking:
-        entry = {"motif": mid, "mean_abs_xi": mean_abs, "mean_xi": signed[mid]}
-        entries.append(entry)
+    rows = []
+    for mid, mean_abs in global_ranking(explanations):
+        pos = position[mid]
+        mean = sum(ex.scores[pos] for ex in explanations) / len(explanations)
+        entries.append({"motif": mid, "mean_abs_xi": mean_abs, "mean_xi": mean})
+        rows.append([mid, rho[pos] if rho is not None and pos < len(rho) else "", mean, mean_abs])
     doc = {"graphs": len(explanations), "ranking": entries}
-    atomic_write_text(args.out, json.dumps(doc, separators=(",", ":")) + "\n")
-    _write_manifest(args.out, "eval global", args, job.inputs, None)
-    if args.csv:
-        rows = []
-        for mid, mean_abs in ranking:
-            rho_val = ""
-            if rho is not None and 0 <= position[mid] < len(rho):
-                rho_val = rho[position[mid]]
-            rows.append([mid, rho_val, signed[mid], mean_abs])
-        _write_csv(args.csv, ["motif", "rho", "mean_xi", "mean_abs_xi"], rows)
+    _report(args, doc, job.inputs, ["motif", "rho", "mean_xi", "mean_abs_xi"], rows)
     return 0
 
 

@@ -498,7 +498,7 @@ def _decode_json(path: str | os.PathLike, data: bytes) -> object:
         raise InputFormatError(f"{path}: not UTF-8: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
         raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 

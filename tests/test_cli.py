@@ -161,6 +161,22 @@ def test_synth_correlation_entry_lists_three_items(tmp_path, capsys, entry):
     assert not (tmp_path / "data.json").exists()
 
 
+@pytest.mark.parametrize("corr, code, detail", [
+    # the file's size is compared with --motifs before its matrix is built
+    ({"n_m": 10 ** 12, "entries": [[0, 1, 0.5]]}, 2,
+     "correlation file covers 1000000000000 motifs, expected 3"),
+    # but only after its entries are checked against that size
+    ({"n_m": 2, "entries": [[0, 2, 0.5]]}, 3, "entry (0, 2) out of range"),
+], ids=["n_m-1e12", "entry-out-of-range"])
+def test_synth_correlation_size_is_checked_before_the_matrix(tmp_path, capsys, corr, code,
+                                                             detail):
+    corr_path = tmp_path / "corr.json"
+    corr_path.write_text(json.dumps(corr))
+    assert run(_synth_args(tmp_path) + ["--corr", str(corr_path)]) == code
+    assert detail in json.loads(capsys.readouterr().err)["detail"]
+    assert not (tmp_path / "data.json").exists()
+
+
 def test_mine_and_rank_roundtrip(synth_files, tmp_path):
     data_path, _ = synth_files
     mined_path = tmp_path / "mined.json"
@@ -440,9 +456,14 @@ def test_depth_is_recorded_as_given(synth_files, tmp_path):
     assert manifest["config"]["depth"] == "2"
 
 
-def test_malformed_dataset_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    "{broken",
+    # past the 4300 digits that int() reads, or else not a binary label
+    '{"n": 3, "graphs": [{"label": 1' + "0" * 4999 + ', "edges": []}]}',
+], ids=["broken", "5000-digit-label"])
+def test_malformed_dataset_exits_3(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
-    bad.write_text("{broken")
+    bad.write_text(text)
     code = run(["mine", "--dataset", str(bad), "--support", "1",
                 "--max-size", "2", "--out", str(tmp_path / "x.json")])
     assert code == 3

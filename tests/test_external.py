@@ -158,8 +158,11 @@ def test_constant_peer(tmp_path):
         assert bb.evaluate(Graph(3, [(0, 1)])) == 0.5
 
 
-def test_out_of_range_probability_rejected(tmp_path):
-    body = CONSTANT_PEER.replace("0.5", "1.5")
+# 401 digits overflow a float; 5001 are past the 4300 digits that int() reads
+@pytest.mark.parametrize("p", ["1.5", "1" * 401, "1" * 5001],
+                         ids=["1.5", "401-digit", "5001-digit"])
+def test_out_of_range_probability_rejected(tmp_path, p):
+    body = CONSTANT_PEER.replace('"p": 0.5})', f'"p": 0.5}}).replace("0.5", "{p}")')
     with ExternalBlackBox(_script(tmp_path, body)) as bb:
         with pytest.raises(TransportError):
             bb.evaluate(Graph(3, [(0, 1)]))
