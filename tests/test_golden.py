@@ -114,6 +114,20 @@ RUN_IN_DIR = {
     "explain-paper-direct": ["explain", "--motifs", "motifs.json", "--dataset", "data.json",
                              "--graph", "all", "--weights", "paper-direct", "--rho", RHO,
                              "--out", "out.json"],
+    "explain-paper-d2": ["explain", "--motifs", "motifs.json", "--dataset", "data.json",
+                         "--graph", "all", "--weights", "paper", "--depth", "2",
+                         "--rho", RHO, "--out", "out.json"],
+    "explain-paper-d2-normalize": ["explain", "--motifs", "motifs.json",
+                                   "--dataset", "data.json", "--graph", "all",
+                                   "--weights", "paper", "--depth", "2", "--normalize",
+                                   "--rho", RHO, "--out", "out.json"],
+    "explain-paper-direct-d2": ["explain", "--motifs", "motifs.json", "--dataset", "data.json",
+                                "--graph", "all", "--weights", "paper-direct",
+                                "--depth", "2", "--rho", RHO, "--out", "out.json"],
+    "explain-paper-direct-d2-normalize": ["explain", "--motifs", "motifs.json",
+                                          "--dataset", "data.json", "--graph", "all",
+                                          "--weights", "paper-direct", "--depth", "2",
+                                          "--normalize", "--rho", RHO, "--out", "out.json"],
     "eval-separability": ["eval", "separability", "--dataset", "data.json",
                           "--out", "out.json", "--csv", "out.csv"],
     "eval-expected": ["eval", "expected", "--dataset", "data.json", "--motifs", "motifs.json",
@@ -175,6 +189,30 @@ RUN_IN_DIR_FILES = {
             "ad3f2def4818bd0a882d111629146a2e59c42e45f76bb035ef80789591a0765c",
         "out.json.manifest.json":
             "cfd5b7152e99ff7498a35680055db012e154d8f2b124cc25f231748f49505e5a",
+    },
+    "explain-paper-d2": {
+        "out.json":
+            "80ff2ad48b131075f46257c680de3c72af06615676be34c9348005172cf3dcdb",
+        "out.json.manifest.json":
+            "4b07d6461a757ad6f2d1a7cd8c9fe52098f5e7806f386aab4fdfd9ed2006b521",
+    },
+    "explain-paper-d2-normalize": {
+        "out.json":
+            "325421d457c61a977ed9d31d362632f896a2539b1b8eaa0f45890a1af4d4d725",
+        "out.json.manifest.json":
+            "4984a9bd9e65444e64b57c2bf0dda225646fa8872d918e1dbac6e6f9b47aa34b",
+    },
+    "explain-paper-direct-d2": {
+        "out.json":
+            "c31272823a8555c61ceb11aa968bb762028557e762d038a96fcf0150e2437624",
+        "out.json.manifest.json":
+            "2dc2210abc891b72060692ebedd52d30c2c5a6780040eed9342a1bb11b219178",
+    },
+    "explain-paper-direct-d2-normalize": {
+        "out.json":
+            "9e2511f1280790085641dfb6671098a0853ae8cdd11dc89e20fa187162ebea3d",
+        "out.json.manifest.json":
+            "8d3b4cc758fa8ea8e538fdf7f2ba2d658b07cf5fa9cb4e479ef46bbf26fd664d",
     },
     "mine": {
         "out.json":

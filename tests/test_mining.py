@@ -107,6 +107,60 @@ def test_mine_matches_brute_force_random():
             assert got == want, (seed, label)
 
 
+def levelwise_frequent(d: LabeledDataset, s: int, max_size: int,
+                       label=None) -> list[frozenset]:
+    """Frequent connected edge sets of 2..max_size edges in mine's output
+    order, grown level by level: level 2 is the frequent twoplets, and
+    level k+1 adds to each set of level k every twoplet partner of one of
+    its edges. Occurrence bitsets come from a scan of the graphs, apart
+    from the dataset's index. An independent reference for mine beyond
+    brute-force reach."""
+    occ = {}
+    for j, (g, lab) in enumerate(zip(d.graphs, d.labels)):
+        if label in (None, lab):
+            for e in g.edges:
+                occ[e] = occ.get(e, 0) | 1 << j
+    occ = {e: bits for e, bits in occ.items() if bits.bit_count() >= s}
+    partners = {e: [] for e in occ}
+    level = {}
+    for e1, e2 in combinations(sorted(occ), 2):
+        bits = occ[e1] & occ[e2]
+        if set(e1) & set(e2) and bits.bit_count() >= s:
+            partners[e1].append(e2)
+            partners[e2].append(e1)
+            level[frozenset((e1, e2))] = bits
+    mined = list(level)
+    for _ in range(3, max_size + 1):
+        nxt = {}
+        for m, bits in level.items():
+            for e in m:
+                for f in partners[e]:
+                    if f not in m and (bits & occ[f]).bit_count() >= s:
+                        nxt[m | {f}] = bits & occ[f]
+        mined += nxt
+        level = nxt
+    return sorted(mined, key=lambda es: (len(es), sorted(es)))
+
+
+def test_mine_matches_levelwise_reference_on_dense_graphs():
+    """12 to 16 nodes at density 0.5: partner graphs far past brute-force
+    reach, and motifs of up to 7 edges."""
+    for seed in range(16):
+        rng = philox(4100 + seed)
+        n = int(rng.integers(12, 17))
+        n_graphs = int(rng.integers(12, 17))
+        graphs = [[e for e in combinations(range(n), 2) if rng.random() < 0.5]
+                  for _ in range(n_graphs)]
+        d = _dataset(graphs, labels=[i % 2 for i in range(n_graphs)], n=n)
+        for label in (None, 0, 1):
+            population = sum(label in (None, y) for y in d.labels)
+            s = int(rng.integers(max(4, population // 3), population // 2 + 2))
+            max_size = int(rng.integers(2, 8))
+            got = [(m.id, m.edges) for m in mine(d, MinerConfig(s, max_size, label))]
+            want = list(enumerate(levelwise_frequent(d, s, max_size, label)))
+            assert got == want, (seed, label)
+
+
 def test_mined_motifs_are_connected_and_frequent():
     rng = philox(99)
     graphs = [[e for e in combinations(range(6), 2) if rng.random() < 0.4]
