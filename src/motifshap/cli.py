@@ -9,7 +9,8 @@ global reports), pipeline (declarative stage list), and blackbox-serve
 Every output file is written atomically. Each but a --csv table gets a
 sidecar <out>.manifest.json recording the tool version, subcommand,
 resolved configuration, input digests, seed and timestamp, so runs can be
-audited and reproduced. All randomness flows from explicit --seed flags;
+audited and reproduced; no two outputs or manifests of one command may
+share a path. All randomness flows from explicit --seed flags;
 errors are printed to stderr as one-line JSON and mapped to exit codes 2
 (usage), 3 (input format) and 4 (black-box transport).
 """
@@ -21,6 +22,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import shlex
 import statistics
 import sys
@@ -641,6 +643,16 @@ def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
+        # before any input is read: one path for two outputs, or for an
+        # output and a manifest, would lose a file or misstate a digest
+        outs = [p for p in (getattr(args, "out", None), getattr(args, "motifs_out", None)) if p]
+        paths = outs + [p + ".manifest.json" for p in outs]
+        if getattr(args, "csv", None):
+            paths.append(args.csv)
+        real = [os.path.realpath(p) for p in paths]
+        for p, r in zip(paths, real):
+            if real.count(r) > 1:
+                raise ParameterError(f"two outputs or manifests share the path {p}")
         if args.cmd == "eval":
             return _EVAL_DISPATCH[args.evalcmd](args)
         return _DISPATCH[args.cmd](args)

@@ -260,38 +260,14 @@ def _explanation(lattice: CoalitionLattice, motifs: Sequence[Motif],
     )
 
 
-def _explain(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
-             strategy: MaskingStrategy, weighting: WeightingScheme,
-             depth: int, depth_label: int | str, graph_id: int,
-             normalize: bool) -> Explanation:
-    m = len(motifs)
-    lattice = evaluate_lattice(g, bb, motifs, strategy, _masks_at_least(m, m - depth))
-    ex = _explanation(lattice, motifs, strategy, weighting, depth_label, graph_id)
-    if normalize and depth < m:
-        # rescale so the truncated scores reproduce the exact-efficiency
-        # gap B(G_empty) - B(G_allmasked); needs one extra evaluation for
-        # the unmasked coalition
-        extra = evaluate_lattice(g, bb, motifs, strategy, [0])
-        gap = float(extra.values[0]) - float(lattice.values[-1])
-        total = math.fsum(ex.scores)
-        scores = ex.scores
-        if total != 0.0:
-            scores = tuple(x * gap / total for x in scores)
-        ex = replace(ex, scores=scores, query_count=ex.query_count + extra.query_count)
-    return ex
-
-
 def exact_explain(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
                   strategy: MaskingStrategy,
                   weighting: WeightingScheme | None = None,
                   graph_id: int = 0,
                   exact_limit: int = DEFAULT_EXACT_LIMIT) -> Explanation:
     """Exact scores over the full coalition lattice (2^|M| coalitions)."""
-    check_request(g.n, motifs, exact_limit=exact_limit)
-    weighting = weighting or WeightingScheme.classic()
-    return _explain(g, bb, motifs, strategy, weighting,
-                    depth=len(motifs), depth_label="exact", graph_id=graph_id,
-                    normalize=False)
+    return explain_depths(g, bb, motifs, strategy, weighting, graph_id=graph_id,
+                          exact_limit=exact_limit)[0]
 
 
 def approx_explain(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
@@ -305,9 +281,21 @@ def approx_explain(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
     depth = |M| the result equals exact_explain bit for bit."""
     check_request(g.n, motifs, [depth])
     weighting = weighting or WeightingScheme.classic()
-    return _explain(g, bb, motifs, strategy, weighting,
-                    depth=depth, depth_label=depth, graph_id=graph_id,
-                    normalize=normalize)
+    m = len(motifs)
+    lattice = evaluate_lattice(g, bb, motifs, strategy, _masks_at_least(m, m - depth))
+    ex = _explanation(lattice, motifs, strategy, weighting, depth, graph_id)
+    if normalize and depth < m:
+        # rescale so the truncated scores reproduce the exact-efficiency
+        # gap B(G_empty) - B(G_allmasked); needs one extra evaluation for
+        # the unmasked coalition
+        extra = evaluate_lattice(g, bb, motifs, strategy, [0])
+        gap = float(extra.values[0]) - float(lattice.values[-1])
+        total = math.fsum(ex.scores)
+        scores = ex.scores
+        if total != 0.0:
+            scores = tuple(x * gap / total for x in scores)
+        ex = replace(ex, scores=scores, query_count=ex.query_count + extra.query_count)
+    return ex
 
 
 def explain_depths(g: Graph, bb: BlackBox, motifs: Sequence[Motif],

@@ -1,12 +1,18 @@
 """Frequent-motif mining and cross-support ranking.
 
-Mining grows connected frequent edge sets one edge at a time. Level 2
-is the frequent twoplets (two frequent edges sharing a node); level k+1
-extends each motif m of level k by every twoplet partner of one of its
-edges that m does not already hold. Each motif carries its occurrence
-bitset (one integer bit per graph, from LabeledDataset.occurrence_bits),
-so a candidate's support is the popcount of its parent's bitset ANDed
-with the new edge's.
+Mining enumerates frequent connected edge sets as ESU (Wernicke, 2006)
+enumerates connected vertex sets, over the partner graph: the frequent
+edges, two of them joined when they share a node and form a frequent
+twoplet. Two edges of a frequent set that share a node are a frequent
+twoplet, so the set is connected in the partner graph, and ESU reaches
+each such set exactly once: from its least edge, the root, a set grows by
+the edges left in its extension list, and each edge it takes adds its
+partners that are greater than the root and neither in the set nor
+adjacent to it. Each set carries its occurrence bitset (one integer bit
+per graph), so a candidate's support is the popcount of its parent's
+bitset ANDed with the new edge's. A candidate below the threshold is
+dropped with its branch; its supersets have no more support, so no
+frequent set is lost.
 
 Ranking scores each motif by its cross-support, the absolute log2 ratio
 of smoothed per-class supports, then greedily selects motifs that are
@@ -70,48 +76,38 @@ def mine(d: LabeledDataset, cfg: MinerConfig) -> list[Motif]:
             f"support threshold {cfg.support_threshold} exceeds the "
             f"{population} graphs available")
 
-    s, label = cfg.support_threshold, cfg.label
-    occ: dict[Edge, int] = {}
-    for e in d.edge_index:
-        bits = d.occurrence_bits((e,), label)
-        if bits.bit_count() >= s:
-            occ[e] = bits
+    s = cfg.support_threshold
+    occ = {e: bits & d.label_bits[cfg.label] for e, bits in d.edge_index.items()}
+    occ = {e: bits for e, bits in occ.items() if bits.bit_count() >= s}
 
-    # frequent twoplets (two frequent edges sharing a node) are level 2;
     # two edges share at most one node, so each pair is met once here
     by_node: dict[int, list[Edge]] = {}
     for e in occ:
         by_node.setdefault(e[0], []).append(e)
         by_node.setdefault(e[1], []).append(e)
-    partners: dict[Edge, list[Edge]] = {e: [] for e in occ}
-    level: dict[frozenset[Edge], int] = {}
+    partners: dict[Edge, set[Edge]] = {e: set() for e in occ}
     for incident in by_node.values():
         for e1, e2 in combinations(incident, 2):
-            bits = occ[e1] & occ[e2]
-            if bits.bit_count() >= s:
-                partners[e1].append(e2)
-                partners[e2].append(e1)
-                level[frozenset((e1, e2))] = bits
+            if (occ[e1] & occ[e2]).bit_count() >= s:
+                partners[e1].add(e2)
+                partners[e2].add(e1)
 
-    # Growing by one twoplet partner at a time is complete: a connected
-    # frequent set of k+1 edges has an edge f whose removal leaves it
-    # connected (a non-tree edge, or a leaf edge of a spanning tree). The
-    # rest is frequent, so it is on level k, and f shares a node with
-    # some edge e of it, so {e, f} is a frequent twoplet.
-    mined = list(level)
-    for _ in range(3, cfg.max_size + 1):
-        nxt: dict[frozenset[Edge], int] = {}
-        for m, bits in level.items():
-            for e in m:
-                for f in partners[e]:
-                    if f not in m:
-                        grown = bits & occ[f]
-                        if grown.bit_count() >= s:
-                            nxt[m | {f}] = grown
-        if not nxt:
-            break
-        mined += nxt
-        level = nxt
+    mined: list[frozenset[Edge]] = []
+    for root, bits in occ.items():
+        # a set, its bitset, its extension list, and the set with its neighbours
+        stack = [(frozenset((root,)), bits, [f for f in partners[root] if f > root],
+                  partners[root] | {root})]
+        while stack:
+            m, bits, ext, near = stack.pop()
+            for i, f in enumerate(ext):
+                grown = bits & occ[f]
+                if grown.bit_count() >= s:
+                    m_f = m | {f}
+                    mined.append(m_f)
+                    if len(m_f) < cfg.max_size:
+                        stack.append((m_f, grown,
+                                      ext[i + 1:] + [x for x in partners[f] - near if x > root],
+                                      near | partners[f]))
 
     out = sorted(mined, key=lambda es: (len(es), sorted(es)))
     return [Motif._trusted(i, es) for i, es in enumerate(out)]

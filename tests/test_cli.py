@@ -24,6 +24,8 @@ from motifshap import (
 from motifshap import blackbox, cli, graphs
 from motifshap.cli import run
 
+from conftest import GOLDEN
+
 
 def _synth_args(tmp_path, seed=7, graphs=20):
     return [
@@ -140,7 +142,7 @@ def test_synth_correlation_file_needs_integers(tmp_path, capsys, corr):
 
 @pytest.mark.parametrize("value,detail", [
     ("0.5", "not a number"), (True, "not a number"), (None, "not a number"),
-    (10 ** 400, "too large"),
+    (10 ** 400, "too large"), (1.5, "correlation 1.5 outside [0, 1]"),
 ])
 def test_synth_correlation_must_be_a_number(tmp_path, capsys, value, detail):
     corr_path = tmp_path / "corr.json"
@@ -325,16 +327,24 @@ def test_depth_is_checked_before_the_blackbox_is_built(synth_files, tmp_path, ca
     (["eval", "approx-corr", "--dataset", "{data}", "--depths", "1", "--exact-limit", "2"],
      "LatticeTooLargeError"),
     (["eval", "global", "--dataset", "{data}", "--rho", "abc"], "ParameterError"),
+    (["eval", "global", "--dataset", "{data}", "--rho", ","], "ParameterError"),
+    (["eval", "approx-corr", "--dataset", "{data}", "--depths", "a"], "ParameterError"),
+    (["eval", "approx-corr", "--dataset", "{data}", "--depths", ","], "ParameterError"),
+    (["explain", "--dataset", "{data31}", "--graph", "0"], "ParameterError"),
 ], ids=["all-without-dataset", "index-out-of-range", "file-over-31-nodes",
         "global-limit-0", "approx-corr-limit-0", "explain-exact-limit",
-        "global-exact-limit", "approx-corr-exact-limit", "global-rho"])
+        "global-exact-limit", "approx-corr-exact-limit", "global-rho",
+        "global-rho-empty", "depths-unparsable", "depths-empty", "dataset-over-31-nodes"])
 def test_usage_is_checked_before_the_blackbox_is_built(synth_files, tmp_path, capsys,
                                                        monkeypatch, command, error):
     data_path, motif_path = synth_files
     graph31 = tmp_path / "graph31.json"
     graph31.write_text(json.dumps({"n": 31, "edges": [[0, 30]]}))
+    data31 = tmp_path / "data31.json"
+    data31.write_text(json.dumps({"n": 31, "graphs": [{"label": 0, "edges": [[0, 30]]},
+                                                      {"label": 1, "edges": [[0, 1]]}]}))
     out = tmp_path / "x.json"
-    args = [a.format(data=data_path, graph31=graph31) for a in command]
+    args = [a.format(data=data_path, graph31=graph31, data31=data31) for a in command]
     args += ["--motifs", str(motif_path), "--out", str(out)]
     # a command that cannot start would exit 4 if the black box came first
     missing = ["--blackbox", "external", "--external-cmd", str(tmp_path / "missing")]
@@ -445,6 +455,34 @@ def test_invalid_blackbox_parameters_exit_2(synth_files, tmp_path, capsys, flags
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, detail", [
+    (["--blackbox", "surrogate"], "--blackbox surrogate needs --train-dataset"),
+    (["--blackbox", "external"], "--blackbox external needs --external-cmd"),
+], ids=["surrogate-without-training-set", "external-without-command"])
+def test_a_blackbox_without_its_source_exits_2(synth_files, tmp_path, capsys, flags, detail):
+    _, motif_path = synth_files
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"n": 30, "edges": [[0, 1]]}))
+    out = tmp_path / "x.json"
+    assert run(["explain", "--motifs", str(motif_path), "--graph", str(graph),
+                "--out", str(out)] + flags) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "ParameterError", "detail": detail}
+    assert not out.exists()
+
+
+def test_rank_refuses_motifs_over_another_universe(synth_files, tmp_path, capsys):
+    data_path, _ = synth_files
+    motifs31 = tmp_path / "motifs31.json"
+    motifs31.write_text(json.dumps({"n": 31, "motifs": [
+        {"id": 0, "edges": [[0, 1], [1, 30]]}]}))
+    out = tmp_path / "x.json"
+    assert run(["rank", "--dataset", str(data_path), "--motifs", str(motifs31),
+                "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ParameterError", "detail": "motif file over 31 nodes, dataset over 30"}
+    assert not out.exists()
+
+
 def test_depth_is_recorded_as_given(synth_files, tmp_path):
     data_path, motif_path = synth_files
     out = tmp_path / "ex.json"
@@ -495,6 +533,42 @@ def test_undecodable_input_exits_3(synth_files, tmp_path, capsys, reader, raw, d
     assert run(argv) == 3
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "InputFormatError", "detail": detail.format(path=bad)}
+
+
+SYNTH_FLAGS = ["--nodes", "30", "--graphs", "20", "--density", "0.2", "--motifs", "3",
+               "--motif-edges", "3", "--rho", "0.2,0.6,1.0"]
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", *SYNTH_FLAGS, "--out", "same.json", "--motifs-out", "same.json"],
+    ["synth", *SYNTH_FLAGS, "--out", "s2.json", "--motifs-out", "s2.json.manifest.json"],
+    ["synth", *SYNTH_FLAGS, "--out", "d.json.manifest.json", "--motifs-out", "./d.json"],
+    ["eval", "separability", "--dataset", "data.json", "--out", "sep.json",
+     "--csv", "sep.json.manifest.json"],
+    ["eval", "separability", "--dataset", "data.json", "--out", "same.txt",
+     "--csv", "same.txt"],
+    ["eval", "expected", "--dataset", "data.json", "--motifs", "motifs.json",
+     "--rho", "0.9,0.5,0.7,0.3", "--out", "sub/../exp.json", "--csv", "exp.json"],
+    ["pipeline", "pipe.json"],
+], ids=["synth-out-is-motifs-out", "synth-motifs-out-is-manifest",
+        "synth-out-is-motifs-manifest", "csv-is-manifest", "csv-is-out",
+        "csv-is-out-by-another-name", "pipeline-stage"])
+def test_colliding_output_paths_exit_2_before_any_input_is_read(tmp_path, monkeypatch,
+                                                                capsys, command):
+    """Two outputs of one command, or an output and a manifest, at one path
+    would lose a file or record a digest that is not the file's."""
+    for f in ("data.json", "motifs.json"):
+        (tmp_path / f).write_bytes((GOLDEN / f).read_bytes())
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "pipe.json").write_text(json.dumps({"stages": [
+        {"run": "eval", "args": ["separability", "--dataset", "data.json",
+                                 "--out", "p.json", "--csv", "p.json"]}]}))
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("input read"))
+    assert run(command) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_usage_error_exits_2(capsys):
@@ -666,6 +740,8 @@ def test_pipeline_rejects_nesting_and_junk(tmp_path, capsys):
     cfg.write_text(json.dumps({"stages": [{"run": "pipeline", "args": []}]}))
     assert run(["pipeline", str(cfg)]) == 2
     cfg.write_text(json.dumps({"stages": "all of them"}))
+    assert run(["pipeline", str(cfg)]) == 3
+    cfg.write_text(json.dumps({"stages": [{"run": "mine", "args": "--support 1"}]}))
     assert run(["pipeline", str(cfg)]) == 3
     cfg.write_text("{bad json")
     assert run(["pipeline", str(cfg)]) == 3

@@ -115,8 +115,10 @@ def test_query_budget_examples():
     assert query_budget(5, 2) == 16
     assert query_budget(4, 4) == 16
     assert query_budget(4, 7) == 16  # depth capped at |M|
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="motif count"):
         query_budget(-1, 1)
+    with pytest.raises(ParameterError, match="depth"):
+        query_budget(3, -1)
 
 
 def _instance(seed, n=12, n_motifs=3, motif_edges=3):

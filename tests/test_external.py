@@ -204,6 +204,14 @@ print("this is not json", flush=True)
             bb.evaluate(Graph(3, [(0, 1)]))
 
 
+def test_reply_that_is_not_an_object_rejected(tmp_path):
+    body = CONSTANT_PEER.replace('json.dumps({"id": req["id"], "p": 0.5})', 'json.dumps([0.5])')
+    assert body != CONSTANT_PEER
+    with ExternalBlackBox(_script(tmp_path, body)) as bb:
+        with pytest.raises(TransportError, match="reply is not a JSON object"):
+            bb.evaluate(Graph(3, [(0, 1)]))
+
+
 def test_bad_handshake_rejected(tmp_path):
     body = """
 line = sys.stdin.readline()
@@ -316,6 +324,11 @@ def test_failure_mid_window_ends_the_child(tmp_path):
 def test_missing_command_rejected(tmp_path):
     with pytest.raises(TransportError):
         ExternalBlackBox([str(tmp_path / "does-not-exist")])
+
+
+def test_empty_command_rejected():
+    with pytest.raises(ConfigurationError, match="command is empty"):
+        ExternalBlackBox([])
 
 
 @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0])
