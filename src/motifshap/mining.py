@@ -9,8 +9,8 @@ each such set exactly once: from its least edge, the root, a set grows by
 the edges left in its extension list, and each edge it takes adds its
 partners that are greater than the root and neither in the set nor
 adjacent to it. Each set carries its occurrence bitset (one integer bit
-per graph), so a candidate's support is the popcount of its parent's
-bitset ANDed with the new edge's. A candidate below the threshold is
+per graph, from LabeledDataset.occurrence_bits), so a candidate's support
+is the popcount of its parent's bitset ANDed with the new edge's. A candidate below the threshold is
 dropped with its branch; its supersets have no more support, so no
 frequent set is lost.
 
@@ -77,7 +77,7 @@ def mine(d: LabeledDataset, cfg: MinerConfig) -> list[Motif]:
             f"{population} graphs available")
 
     s = cfg.support_threshold
-    occ = {e: bits & d.label_bits[cfg.label] for e, bits in d.edge_index.items()}
+    occ = {e: d.occurrence_bits((e,), cfg.label) for e in d.edge_index}
     occ = {e: bits for e, bits in occ.items() if bits.bit_count() >= s}
 
     # two edges share at most one node, so each pair is met once here

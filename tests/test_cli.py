@@ -567,7 +567,8 @@ def test_colliding_output_paths_exit_2_before_any_input_is_read(tmp_path, monkey
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("input read"))
     assert run(command) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParameterError" and "share the path" in err["detail"]
     assert sorted(tmp_path.rglob("*")) == before
 
 
