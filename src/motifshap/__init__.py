@@ -13,12 +13,10 @@ cross-support ranker, and the matching evaluation statistics.
 
 from .blackbox import (
     BlackBox,
-    ExternalBlackBox,
     GroundTruthScorer,
     LinearSurrogate,
     TrainConfig,
     accuracy,
-    serve,
     train_linear_surrogate,
 )
 from .engine import (
@@ -69,6 +67,7 @@ from .stats import (
     spearman,
 )
 from .synth import InjectionRecord, SynthConfig, erdos_renyi, generate, sample_motifs
+from .wire import ExternalBlackBox, serve
 
 __version__ = "0.1.0"
 

@@ -30,15 +30,7 @@ from datetime import datetime, timezone
 from typing import Iterable, NamedTuple, Sequence
 
 from . import __version__
-from .blackbox import (
-    PROTOCOL_HELLO,
-    BlackBox,
-    ExternalBlackBox,
-    GroundTruthScorer,
-    TrainConfig,
-    serve,
-    train_linear_surrogate,
-)
+from .blackbox import BlackBox, GroundTruthScorer, TrainConfig, train_linear_surrogate
 from .engine import (
     DEFAULT_EXACT_LIMIT,
     Explanation,
@@ -73,6 +65,7 @@ from .masking import MaskingStrategy
 from .mining import MinerConfig, RankerConfig, cross_support, mine, rank_and_select
 from .stats import expected_scores, global_ranking, pearson, separability
 from .synth import InjectionRecord, SynthConfig, generate
+from .wire import PROTOCOL_HELLO, ExternalBlackBox, serve
 
 FORMAT_VERSION = "1"
 
@@ -478,8 +471,11 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
                 "{\"run\": <subcommand>, \"args\": [<string>, ...]}")
         if stage["run"] == "pipeline":
             raise ParameterError("pipelines cannot nest pipeline stages")
-    for stage in stages:
-        code = run([stage["run"], *stage["args"]])
+    for pos, stage in enumerate(stages):
+        try:
+            code = run([stage["run"], *stage["args"]])
+        except SystemExit as exc:  # argparse's --help and --version end the process
+            raise ParameterError(f"stage {pos} asks for help or the version") from exc
         if code != 0:
             return code
     return 0

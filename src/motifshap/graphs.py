@@ -15,7 +15,7 @@ pass, and [u, v, w] rows one weight rule, _weighted_graph. Every Graph
 built from outside data goes through them: the constructor's edges and
 weights, file edges, which are exactly [u, v], and wire request edges,
 which are exactly [u, v, w]. The one exception is the wire client's own
-request line, which blackbox._decode_request reads by stricter rules.
+request line, which wire._decode_request reads by stricter rules.
 
 Motifs stay frozensets of canonical (u, v) tuples. The Motif constructor
 is their one validator; the file reader checks only what a file adds, and

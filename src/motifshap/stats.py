@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import Explanation
 from .errors import ParameterError, UndefinedCorrelationError
-from .graphs import LabeledDataset, Motif, jaccard_distance
+from .graphs import LabeledDataset, Motif, _as_int, jaccard_distance
 from .synth import InjectionRecord
 
 
@@ -87,6 +87,10 @@ def separability(d: LabeledDataset, max_pairs: int | None = None,
     """KS separation between intra-class and inter-class pairwise Jaccard
     distance distributions. max_pairs, when set, subsamples each
     distance sample to that size (seeded, without replacement)."""
+    if _as_int(seed, "seed") < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    if max_pairs is not None and max_pairs < 1:
+        raise ParameterError("max_pairs must be >= 1")
     zeros = d.label_indices(0)
     ones = d.label_indices(1)
     if len(zeros) < 2 or len(ones) < 2:
@@ -100,8 +104,6 @@ def separability(d: LabeledDataset, max_pairs: int | None = None,
         else:
             inter.append(dist)
     if max_pairs is not None:
-        if max_pairs < 1:
-            raise ParameterError("max_pairs must be >= 1")
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         if len(intra) > max_pairs:
             idx = rng.choice(len(intra), size=max_pairs, replace=False)

@@ -22,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .graphs import Edge, Graph, InjectionRecord, LabeledDataset, Motif, pack_edges, pack_flags
+from .graphs import (Edge, Graph, InjectionRecord, LabeledDataset, Motif, _as_int, pack_edges,
+                     pack_flags)
 
 
 def _philox(seq: np.random.SeedSequence) -> np.random.Generator:
@@ -54,6 +55,8 @@ class SynthConfig:
                 "graph count must be even so classes are balanced")
         if not 0.0 < self.density < 1.0:
             raise ParameterError("density must lie in (0, 1)")
+        if _as_int(self.seed, "seed") < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
         object.__setattr__(self, "rho", tuple(float(r) for r in self.rho))
         for r in self.rho:
             if not 0.0 <= r <= 1.0:

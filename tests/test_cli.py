@@ -21,7 +21,7 @@ from motifshap import (
     pearson,
     query_budget,
 )
-from motifshap import blackbox, cli, graphs
+from motifshap import cli, graphs, wire
 from motifshap.cli import run
 
 from conftest import GOLDEN
@@ -60,7 +60,7 @@ def test_version_flag(capsys):
 def test_version_names_the_protocol_the_wire_client_sends(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         run(["--version"])
-    assert f"wire protocol {blackbox.PROTOCOL_HELLO})" in capsys.readouterr().out
+    assert f"wire protocol {wire.PROTOCOL_HELLO})" in capsys.readouterr().out
     # the text is built from the constant, not from a copy of its value
     monkeypatch.setattr(cli, "PROTOCOL_HELLO", "motif-shap/0")
     with pytest.raises(SystemExit):
@@ -580,6 +580,22 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [
+    ["synth"], ["eval", "separability"], ["eval", "separability", "--max-pairs", "5"]])
+def test_a_negative_seed_exits_2(synth_files, tmp_path, capsys, command):
+    data_path, _ = synth_files
+    out = tmp_path / "out.json"
+    if command == ["synth"]:
+        args = _synth_args(tmp_path, seed=-1)
+        args[args.index("--out") + 1] = str(out)
+    else:
+        args = command + ["--dataset", str(data_path), "--seed", "-1", "--out", str(out)]
+    assert run(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "ParameterError"
+    assert not out.exists()
+
+
 def test_eval_separability(synth_files, tmp_path):
     data_path, _ = synth_files
     out = tmp_path / "sep.json"
@@ -734,6 +750,29 @@ def test_pipeline_stops_on_first_failure(tmp_path, capsys):
     assert run(["pipeline", str(cfg)]) == 3
     assert not (tmp_path / "data.json").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("stage", [{"run": "mine", "args": ["--help"]},
+                                   {"run": "--version", "args": []}])
+def test_a_pipeline_stage_asking_for_help_or_the_version_exits_2(synth_files, tmp_path,
+                                                                   capsys, stage):
+    data_path, _ = synth_files
+
+    def sep_stage(name):
+        return {"run": "eval", "args": ["separability", "--dataset", str(data_path),
+                                        "--out", str(tmp_path / name)]}
+    cfg = tmp_path / "pipe.json"
+    cfg.write_text(json.dumps({"stages": [sep_stage("a.json"), stage,
+                                          sep_stage("b.json")]}))
+    assert run(["pipeline", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "ParameterError"
+    assert (tmp_path / "a.json").exists() and not (tmp_path / "b.json").exists()
+    # outside a pipeline, help and the version still end the process with 0
+    for argv in ([stage["run"], *stage["args"]], ["--help"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
 
 
 def test_pipeline_rejects_nesting_and_junk(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from motifshap import engine
-from motifshap.blackbox import _request_line
+from motifshap.wire import _request_line
 from motifshap import (
     ConfigurationError,
     Graph,

@@ -31,10 +31,10 @@ from motifshap import (
     serve,
     train_linear_surrogate,
 )
-from motifshap import blackbox
-from motifshap.blackbox import WINDOW, _decode_request, _request_line
+from motifshap import wire
+from motifshap.wire import WINDOW, _decode_request, _request_line
 from motifshap.cli import run
-from motifshap.graphs import _weighted_graph, all_pairs
+from motifshap.graphs import _pack_pairs, _weighted_graph, all_pairs
 
 from conftest import (
     golden_average_lattice,
@@ -520,7 +520,7 @@ def test_every_golden_lattice_line_takes_the_canonical_decoder():
         got_id, n, u, v, weights = decoded
         req = json.loads(line)
         expected = _weighted_graph(req["n"], req["edges"])
-        got = Graph._trusted(n, blackbox._pack_pairs(u, v, n), weights)
+        got = Graph._trusted(n, _pack_pairs(u, v, n), weights)
         assert (got_id, got) == (rid, expected) and got == g
         assert _weight_bits(got) == _weight_bits(expected)
 
@@ -543,7 +543,7 @@ def _both_paths(monkeypatch, line, make_bb):
     line left to the JSON path, each with a fresh black box."""
     fast = _outcome(make_bb(), line)
     with monkeypatch.context() as m:
-        m.setattr(blackbox, "_decode_request", lambda line: None)
+        m.setattr(wire, "_decode_request", lambda line: None)
         return fast, _outcome(make_bb(), line)
 
 

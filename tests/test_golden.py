@@ -17,7 +17,7 @@ import json
 import pytest
 
 from motifshap import load_dataset, load_motifs, serve, train_linear_surrogate
-from motifshap.blackbox import _request_line
+from motifshap.wire import _request_line
 from motifshap.cli import run
 from motifshap.graphs import dataset_to_json, motifs_to_json
 

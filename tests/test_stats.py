@@ -149,6 +149,9 @@ def test_separability_subsampling_is_seeded():
     assert r1.n_intra == 20 and r1.n_inter == 20
     with pytest.raises(ParameterError):
         separability(d, max_pairs=0)
+    for max_pairs in (None, 20):
+        with pytest.raises(ParameterError, match="seed"):
+            separability(d, max_pairs=max_pairs, seed=-1)
 
 
 def _motifs_with_signs():

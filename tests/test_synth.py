@@ -40,6 +40,10 @@ def test_config_validation():
         SynthConfig(**{**ok, "correlation": ((1.0, 0.5), (0.5, 0.9))})
     with pytest.raises(ParameterError):
         SynthConfig(**{**ok, "correlation": ((1.0, 2.0), (2.0, 1.0))})
+    for seed in (-1, 1.5, True, "7"):
+        with pytest.raises(ParameterError, match="seed"):
+            SynthConfig(**{**ok, "seed": seed})
+    SynthConfig(**{**ok, "seed": np.int64(3)})
 
 
 def test_injection_record_validation():
