@@ -42,7 +42,7 @@ from .errors import (
     ParameterError,
     UniverseMismatchError,
 )
-from .graphs import Graph, Motif
+from .graphs import Graph, Motif, _as_int
 from .masking import MaskingStrategy, MaskTables
 
 #: Largest motif set exact_explain will enumerate (2^20 coalitions).
@@ -152,10 +152,11 @@ def query_budget(n_motifs: int, depth: int | str) -> int:
 
 
 def check_request(n: int, motifs: Sequence[Motif], depths: Sequence[int] = (),
-                  exact_limit: int | None = None) -> None:
-    """Raise unless the request has motifs with unique ids inside the n-node
-    universe and each depth in [1, |M|]; exact_limit, given when the full
-    lattice is needed, bounds |M| (LatticeTooLargeError)."""
+                  exact_limit: int | None = None) -> list[int]:
+    """The depths as ints. Raise unless the request has motifs with unique
+    ids inside the n-node universe and each depth an integer in [1, |M|];
+    exact_limit, an integer given when the full lattice is needed, bounds
+    |M| (LatticeTooLargeError)."""
     if not motifs:
         raise ParameterError("at least one motif is required")
     ids = [mot.id for mot in motifs]
@@ -166,13 +167,15 @@ def check_request(n: int, motifs: Sequence[Motif], depths: Sequence[int] = (),
             raise UniverseMismatchError(
                 f"motif {mot.id} exceeds the graph's node universe [0, {n})")
     m = len(motifs)
+    depths = [_as_int(d, "depth") for d in depths]
     for d in depths:
         if not 1 <= d <= m:
             raise ParameterError(f"depth must be in [1, {m}], got {d}")
-    if exact_limit is not None and m > exact_limit:
+    if exact_limit is not None and m > _as_int(exact_limit, "exact limit"):
         raise LatticeTooLargeError(
             f"{m} motifs means 2^{m} coalitions, above the limit of "
             f"{exact_limit}; use approx_explain with a depth bound")
+    return depths
 
 
 def evaluate_lattice(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
@@ -279,7 +282,7 @@ def approx_explain(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
     """Depth-limited scores: only marginal terms for masked sets within
     distance ``depth`` of the fully-masked coalition are summed. At
     depth = |M| the result equals exact_explain bit for bit."""
-    check_request(g.n, motifs, [depth])
+    (depth,) = check_request(g.n, motifs, [depth])
     weighting = weighting or WeightingScheme.classic()
     m = len(motifs)
     lattice = evaluate_lattice(g, bb, motifs, strategy, _masks_at_least(m, m - depth))
@@ -308,7 +311,7 @@ def explain_depths(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
     """Exact scores and the depth-limited scores at each of depths, all
     from one evaluation of the full lattice (2^|M| coalitions). Each
     depth's explanation equals approx_explain's without normalize."""
-    check_request(g.n, motifs, depths, exact_limit)
+    depths = check_request(g.n, motifs, depths, exact_limit)
     m = len(motifs)
     weighting = weighting or WeightingScheme.classic()
     lattice = evaluate_lattice(g, bb, motifs, strategy, _masks_at_least(m, 0))

@@ -14,39 +14,41 @@ Remove and toggle emit unweighted graphs. Average emits a weighted graph
 and therefore requires a black box that accepts edge weights; like every
 Graph, it lists only its weights other than 1.0.
 
+A strategy is only its kind and, for average, its background dataset.
 Every subset of one motif list is masked in one graph through
 MaskTables, which mask() also uses. A subset is a bitmask over the
-motifs (bit i set: motif i masked). The motifs are cut into chunks of
-CHUNK, and each chunk has a table, built by doubling, of one entry per
-subset of its motifs: the union's edge bits, the union's key bits and,
-for average, the union's background frequencies other than 1.0. A
-subset's union is the OR of one entry per chunk. Each motif's edge bits
-and frequencies are computed once per strategy, and the key tables only
-when a key is first asked for, so a single mask() builds none.
+motifs (bit i set: motif i masked). MaskTables reads W, the union of all
+the motifs' edges, once, in pair_index order, and records for each edge
+its bit, its key bit and, for average, its background frequency. Each
+motif's edges fold into one value per table family; the motifs are cut
+into chunks of CHUNK, and each chunk has a table, built by doubling, of
+one entry per subset of its motifs: the union's edge bits, the union's
+key bits and, for average, the union's background frequencies other
+than 1.0. A subset's entry is the join of one entry per chunk. Tables
+belong to one graph and one motif list; nothing is kept across them.
 
-Every masked graph equals g outside W, the union of all the motifs' edges,
-and on W it depends only on U, and only on U's edges where masking
-changes something: all of W for toggle, W's edges of g for remove, and
-for average the edges of W other than those of g whose weight equals
-their background frequency (an absent edge always counts, as masking
-makes it present, even at weight 0.0). The key is U restricted to those
-relevant edges, in dense W coordinates (bit k: the k-th edge of W in
-pair_index order), so it has at most sum(|motif|) bits whatever n is,
-and two subsets have equal keys exactly when their masked graphs are
-equal. The masked graph itself is an integer operation on the edge
-bits, built only when asked for: AND-NOT (remove), XOR (toggle) or OR
-(average) with U's bits, without re-validation.
+Every masked graph equals g outside W, and on W it depends only on U,
+and only on U's edges where masking changes something: all of W for
+toggle, W's edges of g for remove, and for average the edges of W other
+than those of g whose weight equals their background frequency (an
+absent edge always counts, as masking makes it present, even at weight
+0.0). The key is U restricted to those relevant edges, in dense W
+coordinates (bit k: the k-th edge of W in pair_index order), so it has
+at most sum(|motif|) bits whatever n is, and two subsets have equal keys
+exactly when their masked graphs are equal. The masked graph itself is
+an integer operation on the edge bits, built only when asked for:
+AND-NOT (remove), XOR (toggle) or OR (average) with U's bits, without
+re-validation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from dataclasses import dataclass
 from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, UniverseMismatchError
-from .graphs import Edge, Graph, LabeledDataset, Motif, edge_frequency, pack_edges, pair_index
+from .graphs import Graph, LabeledDataset, Motif, edge_frequency, pair_index
 
 #: Motifs per table chunk. Each chunk's tables have 2^CHUNK entries, so a
 #: lattice's tables hold about 2^CHUNK / CHUNK = 4 full-width unions per motif.
@@ -61,7 +63,6 @@ class MaskingStrategy:
 
     kind: str
     background: LabeledDataset | None = None
-    _bits_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def remove(cls) -> "MaskingStrategy":
@@ -82,17 +83,6 @@ class MaskingStrategy:
             raise ConfigurationError(f"unknown masking strategy {self.kind!r}")
         if self.kind == "average" and self.background is None:
             raise ConfigurationError("average masking needs a background dataset")
-
-    def _motif_bits(self, m: Motif, n: int) -> tuple[int, dict]:
-        """m's edge bits over n nodes and, for average, its edge frequencies other than 1.0."""
-        # keyed by the edge set, whose hash the frozenset caches, not by the
-        # Motif, whose dataclass hash is recomputed on every lookup
-        entry = self._bits_cache.get((m.edges, n))
-        if entry is None:
-            freqs = {e: f for e in m.edges if self.kind == "average"
-                     and (f := edge_frequency(self.background, e)) != 1.0}
-            entry = self._bits_cache[m.edges, n] = pack_edges(m.edges, n), freqs
-        return entry
 
     def mask(self, g: Graph, motifs: Iterable[Motif]) -> Graph:
         """Graph presented to the black box when the given motifs are
@@ -115,10 +105,11 @@ def _merged(a: dict, b: dict) -> dict:
 
 
 class MaskTables:
-    """Lookup tables that mask every subset of one motif list in one graph.
+    """Lookup tables that mask every subset of one motif list in one graph,
+    built from one pass over W (see the module docstring).
 
     key(mask) identifies the masked graph of a subset and graph(mask)
-    builds it; equal keys mean equal graphs (see the module docstring).
+    builds it; equal keys mean equal graphs.
     """
 
     def __init__(self, strategy: MaskingStrategy, g: Graph, motifs: Sequence[Motif]):
@@ -126,42 +117,32 @@ class MaskTables:
         if kind == "average" and strategy.background.n != n:
             raise UniverseMismatchError(
                 f"background over {strategy.background.n} nodes, graph over {n}")
-        entries = [strategy._motif_bits(m, n) for m in motifs]  # checks the universe
-        bits = [b for b, _ in entries]
-        self._g, self._kind, self._motifs, self._entries = g, kind, motifs, entries
+        for m in motifs:
+            if m.max_node() >= n:
+                raise UniverseMismatchError(f"motif {m.id} exceeds the node universe [0, {n})")
+        weights = g.weights or {}
+        # edge k of W: its bit, key bit k when masking it changes the graph,
+        # and for average its background frequency
+        bit, key_bit, freq = {}, {}, {}
+        for k, e in enumerate(sorted(set().union(*(m.edges for m in motifs)))):
+            b = bit[e] = 1 << pair_index(*e, n)
+            changes = kind == "toggle" or g.edge_bits & b
+            if kind == "average":
+                f = freq[e] = edge_frequency(strategy.background, e)
+                changes = not changes or weights.get(e, 1.0) != f
+            key_bit[e] = 1 << k if changes else 0
+        self._g, self._kind = g, kind
         chunks = range(0, len(motifs), CHUNK)
-        self._unions = [_doubled(bits[c:c + CHUNK], 0, or_) for c in chunks]
-        if kind == "average":
-            self._freqs = [_doubled([f for _, f in entries[c:c + CHUNK]], {}, _merged)
-                           for c in chunks]
-            # g's weights off W always stay; those on W give way to U's frequencies
-            w_bits = reduce(or_, bits, 0)
-            self._off_w: dict[Edge, float] = {}
-            self._on_w: list[tuple[Edge, float, int]] = []
-            for e, x in (g.weights or {}).items():
-                b = 1 << pair_index(*e, n)
-                if w_bits & b:
-                    self._on_w.append((e, x, b))
-                else:
-                    self._off_w[e] = x
-
-    @cached_property
-    def _keys(self) -> list[list[int]]:
-        """Per chunk, the key of every subset of its motifs."""
-        g, n, motifs = self._g, self._g.n, self._motifs
-        w_edges = sorted(set().union(*(m.edges for m in motifs)))
-        if self._kind == "toggle":
-            flags = [True] * len(w_edges)
-        else:
-            flags = [g.edge_bits >> pair_index(u, v, n) & 1 for u, v in w_edges]
-            if self._kind == "average":
-                freq = {e: f for _, freqs in self._entries for e, f in freqs.items()}
-                flags = [not present or g.weight(e) != freq.get(e, 1.0)
-                         for e, present in zip(w_edges, flags)]
-        # edge k of W is key bit k when masking it changes the graph
-        key_bit = {e: 1 << k if f else 0 for k, (e, f) in enumerate(zip(w_edges, flags))}
+        bits = [sum(bit[e] for e in m.edges) for m in motifs]
         keys = [sum(key_bit[e] for e in m.edges) for m in motifs]
-        return [_doubled(keys[c:c + CHUNK], 0, or_) for c in range(0, len(motifs), CHUNK)]
+        self._unions = [_doubled(bits[c:c + CHUNK], 0, or_) for c in chunks]
+        self._keys = [_doubled(keys[c:c + CHUNK], 0, or_) for c in chunks]
+        if kind == "average":
+            freqs = [{e: freq[e] for e in m.edges if freq[e] != 1.0} for m in motifs]
+            self._freqs = [_doubled(freqs[c:c + CHUNK], {}, _merged) for c in chunks]
+            # g's weights off W always stay; those on W give way to U's frequencies
+            self._off_w = {e: x for e, x in weights.items() if e not in bit}
+            self._on_w = [(e, x, bit[e]) for e, x in weights.items() if e in bit]
 
     def key(self, mask: int) -> int:
         """U & relevant in dense W coordinates for the subset mask."""

@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import ParameterError
-from .graphs import Edge, LabeledDataset, Motif, edge_set_jaccard
+from .graphs import Edge, LabeledDataset, Motif, _as_int, edge_set_jaccard
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,9 @@ class MinerConfig:
     label: int | None = None
 
     def __post_init__(self):
-        if self.support_threshold < 1:
+        if _as_int(self.support_threshold, "support threshold") < 1:
             raise ParameterError("support threshold must be >= 1")
-        if self.max_size < 2:
+        if _as_int(self.max_size, "max motif size") < 2:
             raise ParameterError("max motif size must be >= 2 edges")
         if self.label not in (None, 0, 1):
             raise ParameterError("label filter must be 0, 1 or omitted")
@@ -60,9 +60,9 @@ class RankerConfig:
     def __post_init__(self):
         if not 0.0 <= self.dt <= 1.0:
             raise ParameterError("distance threshold must lie in [0, 1]")
-        if self.st < 1:
+        if _as_int(self.st, "size threshold") < 1:
             raise ParameterError("size threshold must be >= 1")
-        if self.k < 1:
+        if _as_int(self.k, "selection size") < 1:
             raise ParameterError("selection size must be >= 1")
 
 

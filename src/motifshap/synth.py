@@ -46,9 +46,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
+        if _as_int(self.n, "node count") < 2:
             raise ParameterError("need at least 2 nodes")
-        if self.n_graphs <= 0:
+        if _as_int(self.n_graphs, "graph count") <= 0:
             raise ParameterError("graph count must be positive")
         if self.n_graphs % 2 != 0:
             raise ParameterError(

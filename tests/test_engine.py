@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from motifshap import engine
@@ -280,10 +281,29 @@ def test_every_entry_point_refuses_a_bad_request_before_its_first_query():
     for depth in (0, 4):
         with pytest.raises(ParameterError, match=rf"depth must be in \[1, 3\], got {depth}"):
             explain_depths(g, bb, motifs, strat, depths=[1, depth])
+    for depth in (1.5, True, 2.0, "2"):
+        with pytest.raises(ParameterError, match="depth must be an integer"):
+            engine.check_request(g.n, motifs, [depth])
+        with pytest.raises(ParameterError, match="depth must be an integer"):
+            approx_explain(g, bb, motifs, strat, depth=depth)
+        with pytest.raises(ParameterError, match="depth must be an integer"):
+            explain_depths(g, bb, motifs, strat, depths=[depth, 1])
+    for limit in (3.0, True, "3"):
+        with pytest.raises(ParameterError, match="exact limit must be an integer"):
+            exact_explain(g, bb, motifs, strat, exact_limit=limit)
     with pytest.raises(LatticeTooLargeError):
         explain_depths(g, bb, motifs, strat, depths=[1], exact_limit=2)
-    engine.check_request(g.n, motifs, [1, 3], exact_limit=3)
+    assert engine.check_request(g.n, motifs, [1, np.int64(3)], exact_limit=3) == [1, 3]
     assert bb.calls == 0
+
+
+def test_a_numpy_depth_is_recorded_as_an_int():
+    g, bb, motifs = _instance(53)
+    strat = MaskingStrategy.toggle()
+    ex = approx_explain(g, bb, motifs, strat, depth=np.int64(2))
+    assert type(ex.depth) is int and ex == approx_explain(g, bb, motifs, strat, depth=2)
+    _, by_depth = explain_depths(g, bb, motifs, strat, depths=[np.int64(1)])
+    assert [type(d) for d in by_depth] == [int] and type(by_depth[1].depth) is int
 
 
 def test_query_counts_match_budget_with_distinct_coalitions():

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from motifshap import (
@@ -8,6 +10,8 @@ from motifshap import (
     Motif,
     UniverseMismatchError,
 )
+from motifshap.graphs import edge_frequency
+from motifshap.masking import MaskTables
 
 from conftest import philox, random_graph, random_motif_set, random_weighted_graph
 
@@ -53,7 +57,9 @@ def test_weighted_input_comes_out_unweighted():
 
 def test_motif_beyond_universe_rejected():
     small = Graph(3, [(0, 1)])
-    for strat in (MaskingStrategy.remove(), MaskingStrategy.toggle()):
+    background = LabeledDataset(3, (small, Graph(3, [(1, 2)])), (0, 1))
+    for strat in (MaskingStrategy.remove(), MaskingStrategy.toggle(),
+                  MaskingStrategy.average(background)):
         with pytest.raises(UniverseMismatchError):
             strat.mask(small, [Motif(0, frozenset({(2, 3)}))])
 
@@ -177,3 +183,43 @@ def test_average_outside_edges_bit_identical_seeded():
 def test_unknown_strategy_kind_rejected():
     with pytest.raises(ConfigurationError):
         MaskingStrategy("erase")
+
+
+def test_equal_keys_exactly_when_masked_graphs_are_equal_seeded():
+    """The invariant deduplication rests on: two subsets of one motif list
+    have equal keys exactly when their masked graphs are equal, under
+    every kind, for unweighted and weighted inputs and overlapping motifs,
+    with one remove and one toggle strategy serving two universes."""
+    rng = philox(3000)
+    # weights in quarters meet the frequencies over 4 background graphs
+    quarters = (0.0, 0.25, 0.5, 0.75)
+    averages = {n: MaskingStrategy.average(LabeledDataset(
+        n, tuple(random_graph(n, 0.5, rng) for _ in range(4)), (0, 0, 1, 1)))
+        for n in (6, 7)}
+    shared = (MaskingStrategy.remove(), MaskingStrategy.toggle())
+    seen = {"overlap": 0, "equal": 0, "unequal": 0, "weight meets frequency": 0}
+    for seed in range(24):
+        rng = philox(3000 + seed)
+        m = 2 + seed % 5
+        motifs = random_motif_set(6, m, 1 + seed % 3, rng)
+        seen["overlap"] += any(a.edges & b.edges for a, b in combinations(motifs, 2))
+        for n in (6, 7):
+            plain = random_graph(n, 0.5, rng)
+            sorted_edges = plain.sorted_edges()
+            picks = rng.integers(0, len(quarters) + 1, len(sorted_edges)).tolist()
+            weighted = Graph(n, sorted_edges, {e: quarters[i] for e, i in zip(sorted_edges, picks)
+                                               if i < len(quarters)})
+            for g in (plain, weighted):
+                for strat in (*shared, averages[n]):
+                    tables = MaskTables(strat, g, motifs)
+                    keys = [tables.key(s) for s in range(1 << m)]
+                    graphs = [tables.graph(s) for s in range(1 << m)]
+                    for a, b in combinations(range(1 << m), 2):
+                        same = graphs[a] == graphs[b]
+                        assert (keys[a] == keys[b]) == same, (seed, n, strat.kind, a, b)
+                        seen["equal" if same else "unequal"] += 1
+                    if strat.kind == "average":
+                        seen["weight meets frequency"] += any(
+                            g.weight(e) == edge_frequency(strat.background, e)
+                            for mot in motifs for e in mot.edges if e in g.edges)
+    assert all(seen.values()), seen

@@ -71,6 +71,9 @@ def test_support_threshold_above_dataset_rejected():
         MinerConfig(0, 3)
     with pytest.raises(ParameterError):
         MinerConfig(1, 1)
+    for bad in ((2.5, 3), (2, 3.5), (True, 3), (2, "3")):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            MinerConfig(*bad)
 
 
 def test_label_filtered_mining():
@@ -281,6 +284,9 @@ def test_ranker_validation():
         RankerConfig(st=0)
     with pytest.raises(ParameterError):
         RankerConfig(k=0)
+    for bad in ({"k": 2.5}, {"st": 1.5}, {"k": True}, {"st": "3"}):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            RankerConfig(**bad)
     d, a, _, _ = _ranking_dataset()
     with pytest.raises(ParameterError):
         rank_and_select([], d, RankerConfig())

@@ -44,6 +44,10 @@ def test_config_validation():
         with pytest.raises(ParameterError, match="seed"):
             SynthConfig(**{**ok, "seed": seed})
     SynthConfig(**{**ok, "seed": np.int64(3)})
+    for field, value in (("n", 10.0), ("n", True), ("n_graphs", 4.0), ("n_graphs", "4")):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            SynthConfig(**{**ok, field: value})
+    SynthConfig(**{**ok, "n": np.int64(20), "n_graphs": np.int32(10)})
 
 
 def test_injection_record_validation():
