@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from motifshap import (
     TrainConfig,
     UniverseMismatchError,
     accuracy,
+    exact_explain,
     generate,
     load_motifs,
     save_motifs,
@@ -24,7 +26,13 @@ from motifshap import (
 from motifshap.blackbox import _feature_matrix, sigmoid
 from motifshap.graphs import pair_index
 
-from conftest import philox, random_graph, random_motif_set, random_weighted_graph
+from conftest import (
+    philox,
+    random_connected_motif,
+    random_graph,
+    random_motif_set,
+    random_weighted_graph,
+)
 
 TRIANGLE = Motif(0, frozenset({(0, 1), (1, 2), (0, 2)}), 1)
 
@@ -126,6 +134,53 @@ def test_evaluate_batch_matches_elementwise():
     bb = GroundTruthScorer(8, random_motif_set(8, 2, 2, philox(9)), [1.0, 0.5])
     graphs = [random_graph(8, 0.3, philox(s)) for s in range(8)]
     assert bb.evaluate_batch(graphs) == [bb.evaluate(g) for g in graphs]
+
+
+class RecordingScorer(GroundTruthScorer):
+    """GroundTruthScorer that keeps every value its batches return."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.values = []
+
+    def evaluate_batch(self, graphs):
+        values = super().evaluate_batch(graphs)
+        self.values += values
+        return values
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+def test_scorer_values_are_pinned_on_exact_lattices():
+    # the benchmark's exact-lattice shape: n = 100, density 0.18, 12
+    # disjoint 7-edge motifs, every toggle and remove coalition
+    cfg = SynthConfig(n=100, n_graphs=4, density=0.18, motif_spec=(12, 7),
+                      rho=tuple(k / 11 for k in range(12)), seed=2601)
+    dataset, _, motifs = generate(cfg)
+    bb = RecordingScorer(100, motifs, cfg.rho)
+    for g in dataset.graphs[:3]:
+        for strategy in (MaskingStrategy.toggle(), MaskingStrategy.remove()):
+            exact_explain(g, bb, motifs, strategy)
+    assert len(bb.values) == 13088
+    assert _digest(bb.values) == (
+        "703bec375597111e587d7239cd473024977eb422fd637a3d9b7d94b694b7dfca")
+
+
+def test_scorer_values_are_pinned_on_weighted_average_lattices():
+    # weighted inputs, and average masking, which weights masked motif edges
+    # by their background frequency
+    cfg = SynthConfig(n=40, n_graphs=8, density=0.2, motif_spec=(6, 4),
+                      rho=(0.5,) * 6, seed=2602)
+    dataset, _, motifs = generate(cfg)
+    bb = RecordingScorer(40, motifs, [0.1, 0.3, 0.5, 0.7, 0.9, 1.1])
+    average = MaskingStrategy.average(dataset)
+    for seed in range(3):
+        exact_explain(random_weighted_graph(40, 0.3, philox(2603 + seed)), bb, motifs, average)
+    assert len(bb.values) == 192
+    assert _digest(bb.values) == (
+        "441b1d47ec75785f0d24275dd0ed906b9677df3699a3dc9e8d98f9cb099189de")
 
 
 def _edge_split_dataset(n_graphs: int = 20) -> LabeledDataset:
@@ -253,3 +308,78 @@ def test_feature_matrix_matches_per_edge_reference():
         for u, v in g.edges:
             expected[pair_index(u, v, n)] = g.weight((u, v))
         assert np.array_equal(row, expected)
+
+
+def reference_score(bb: GroundTruthScorer, g: Graph) -> float:
+    """The scorer's rule as a per-graph loop over Graph.weight: a motif's
+    overlap is the fsum of its edge weights over its size, and the terms
+    are summed in motif order."""
+    raw = 0.0
+    for m, u in zip(bb.motifs, bb.importances):
+        overlap = math.fsum(g.weight(e) for e in m.edges) / len(m.edges)
+        raw += (2.0 * overlap - 1.0) * (m.class_sign * u)
+    return sigmoid(bb.beta * raw)
+
+
+def test_scorer_without_motifs_scores_half():
+    bb = GroundTruthScorer(5, [], [])
+    graphs = [Graph(5, []), random_graph(5, 0.6, philox(1)), random_weighted_graph(5, 0.6, philox(2))]
+    assert bb.evaluate_batch(graphs) == [0.5] * 3
+    assert [bb.evaluate(g) for g in graphs] == [0.5] * 3
+
+
+def test_scorer_answers_an_empty_batch_with_no_values():
+    assert GroundTruthScorer(4, [TRIANGLE], [1.0]).evaluate_batch([]) == []
+    assert GroundTruthScorer(4, [], []).evaluate_batch([]) == []
+
+
+def test_scorer_counts_a_motif_of_more_than_255_edges():
+    # an 8-bit count of the motif's 300 edges would wrap to 44
+    n = 40
+    big = random_connected_motif(0, n, 300, philox(5), class_sign=1)
+    bb = GroundTruthScorer(n, [big], [0.8])
+    edges = big.sorted_edges()
+    full, most = Graph(n, edges), Graph(n, edges[:290])
+    assert bb.evaluate(full) == sigmoid(2.0 * 0.8)
+    assert bb.evaluate_batch([full, most]) == [reference_score(bb, full),
+                                               reference_score(bb, most)]
+    weighted = Graph(n, edges, {e: 0.5 for e in edges[:150]})
+    assert bb.evaluate(weighted) == reference_score(bb, weighted) == sigmoid(2.0 * 0.8 * 0.5)
+
+
+def test_scorer_over_two_nodes():
+    bb = GroundTruthScorer(2, [Motif(0, frozenset({(0, 1)}), -1)], [1.5])
+    graphs = [Graph(2, [(0, 1)]), Graph(2, []), Graph(2, [(0, 1)], {(0, 1): 0.25})]
+    assert bb.evaluate_batch(graphs) == [sigmoid(-3.0), sigmoid(3.0), sigmoid(1.5)]
+    assert [bb.evaluate(g) for g in graphs] == [sigmoid(-3.0), sigmoid(3.0), sigmoid(1.5)]
+
+
+def test_scorer_batch_mixes_weighted_and_unweighted_graphs():
+    n = 12
+    rng = philox(31)
+    bb = GroundTruthScorer(n, random_motif_set(n, 4, 5, rng), [0.4, 1.0, 0.0, 2.5], beta=1.5)
+    graphs = [random_graph(n, 0.5, rng) if i % 3 else random_weighted_graph(n, 0.5, rng)
+              for i in range(9)]
+    assert bb.evaluate_batch(graphs) == [reference_score(bb, g) for g in graphs]
+    assert bb.evaluate_batch(graphs[::-1]) == [reference_score(bb, g) for g in graphs[::-1]]
+
+
+def test_scorer_batch_equals_single_calls_and_the_reference_seeded():
+    for seed in range(12):
+        rng = philox(2610 + seed)
+        n = int(rng.integers(4, 41))
+        count = int(rng.integers(1, 7))
+        motifs = random_motif_set(n, count, int(rng.integers(1, min(12, n * (n - 1) // 2) + 1)), rng)
+        importances = [float(x) for x in rng.random(count) * 2.0]
+        bb = GroundTruthScorer(n, motifs, importances, beta=float(rng.uniform(0.5, 4.0)))
+        background = LabeledDataset(n, tuple(random_graph(n, 0.4, rng) for _ in range(6)),
+                                    (0, 1) * 3)
+        graphs = [random_graph(n, float(rng.uniform(0.1, 0.9)), rng) for _ in range(4)]
+        graphs += [random_weighted_graph(n, float(rng.uniform(0.1, 0.9)), rng) for _ in range(4)]
+        for strategy in (MaskingStrategy.remove(), MaskingStrategy.toggle(),
+                         MaskingStrategy.average(background)):
+            graphs.append(strategy.mask(graphs[0], motifs[::2]))
+            graphs.append(strategy.mask(graphs[4], motifs[1::2]))
+        values = bb.evaluate_batch(graphs)
+        assert values == [bb.evaluate(g) for g in graphs]
+        assert values == [reference_score(bb, g) for g in graphs]
