@@ -9,9 +9,13 @@ descent. A real classifier in another process is queried through the
 wire protocol (wire.ExternalBlackBox), and wire.serve serves a black box
 over it.
 
-All black boxes read edges through Graph.weight, so a missing edge
-counts 0, an unweighted present edge counts 1, and weighted graphs (as
-produced by average masking) need no special handling.
+Every black box reads an edge as Graph.weight defines it: 0 when
+missing, 1 when present and unweighted, else its weight, so weighted
+graphs (as produced by average masking) need no special handling. The
+surrogate reads each graph's weight_vector. The scorer reads a whole
+batch's edge bits in one numpy pass, and Graph.weights only for its
+weighted graphs; it sums each graph's terms in motif order, so a batch
+and single calls score alike (see GroundTruthScorer).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateTrainingError, UniverseMismatchError
-from .graphs import Graph, LabeledDataset, Motif, pack_edges, weight_vector
+from .graphs import Graph, LabeledDataset, Motif, pair_index, weight_vector
 
 
 def sigmoid(x: float) -> float:
@@ -75,11 +79,17 @@ class GroundTruthScorer(BlackBox):
 
     overlap_k is the mean edge weight of motif k's edges in the graph,
     so 1 when fully present and 0 when fully absent. The raw score sums
-    class_sign_k * (2*overlap_k - 1) * u_k and is squashed through a
-    logistic with steepness beta. On an unweighted graph the overlap is a
-    popcount of the graph's edge bits against the motif's; on a weighted
-    graph its sum is math.fsum, correctly rounded, so equal motifs score
-    equally whatever order their edge sets iterate in.
+    class_sign_k * (2*overlap_k - 1) * u_k over the motifs in order and
+    is squashed through a logistic with steepness beta.
+
+    A batch is scored in one numpy pass: the graphs' edge bits become one
+    byte row each, the motifs' edge bits are gathered from the rows and
+    counted per motif. On a weighted graph a motif's overlap is instead
+    the math.fsum of its edge weights, correctly rounded, so equal motifs
+    score equally whatever order their edges are listed in. The terms are
+    summed left to right, as a loop over the motifs would sum them, and
+    evaluate(g) is evaluate_batch([g])[0], so a single call and a batch
+    agree bit for bit.
     """
 
     kind = "scorer"
@@ -93,6 +103,9 @@ class GroundTruthScorer(BlackBox):
         for m in motifs:
             if m.class_sign is None:
                 raise ConfigurationError(f"motif {m.id} has no class sign")
+            if m.max_node() >= n:
+                raise UniverseMismatchError(f"motif {m.id} reaches node {m.max_node()}, "
+                                            f"outside node universe [0, {n})")
         for u in importances:
             if not (u >= 0 and math.isfinite(u)):
                 raise ConfigurationError(f"importances must be nonnegative and finite, got {u}")
@@ -100,20 +113,42 @@ class GroundTruthScorer(BlackBox):
         self.motifs = tuple(motifs)
         self.importances = tuple(float(u) for u in importances)
         self.beta = float(beta)
-        # (bits, edges, size, class_sign * u) per motif: a +-1 sign moves onto u exactly
-        self._terms = tuple((pack_edges(m.edges, n), m.edges, len(m.edges), m.class_sign * u)
-                            for m, u in zip(self.motifs, self.importances))
+        # every motif's edges in one row, in pair_index order: motif k
+        # spans columns starts[k] to starts[k] + sizes[k]
+        self._edges = [e for m in self.motifs for e in m.sorted_edges()]
+        pos = np.array([pair_index(u, v, n) for u, v in self._edges], dtype=np.int64)
+        self._byte, self._shift = pos >> 3, (pos & 7).astype(np.uint8)
+        self._sizes = np.array([len(m.edges) for m in self.motifs], dtype=np.int64)
+        self._starts = np.cumsum(self._sizes) - self._sizes
+        self._spans = [(a, a + size) for a, size in zip(self._starts.tolist(), self._sizes.tolist())]
+        # a +-1 sign moves onto u exactly
+        self._coefs = np.array([m.class_sign * u for m, u in zip(self.motifs, self.importances)],
+                               dtype=np.float64)
+        self._nbytes = (n * (n - 1) // 2 + 7) // 8
 
     def evaluate(self, g: Graph) -> float:
-        self.check_universe(g.n)
-        raw = 0.0
-        for bits, edges, size, coef in self._terms:
-            if g.weights is None:
-                overlap = (g.edge_bits & bits).bit_count() / size
-            else:
-                overlap = math.fsum(g.weight(e) for e in edges) / size
-            raw += (2.0 * overlap - 1.0) * coef
-        return sigmoid(self.beta * raw)
+        return self.evaluate_batch([g])[0]
+
+    def evaluate_batch(self, graphs: Sequence[Graph]) -> list[float]:
+        for g in graphs:
+            self.check_universe(g.n)
+        if not self.motifs:
+            return [sigmoid(0.0)] * len(graphs)  # no terms: the raw score is 0
+        nbytes = self._nbytes
+        rows = np.frombuffer(b"".join(g.edge_bits.to_bytes(nbytes, "little") for g in graphs),
+                             dtype=np.uint8).reshape(len(graphs), nbytes)
+        present = (rows[:, self._byte] >> self._shift) & 1
+        # an int64 count, since a uint8 sum wraps past 255 edges
+        sums = np.add.reduceat(present, self._starts, axis=1, dtype=np.int64).astype(np.float64)
+        for i, g in enumerate(graphs):
+            if g.weights is not None:
+                w = [g.weights.get(e, 1.0) if bit else 0.0
+                     for e, bit in zip(self._edges, present[i].tolist())]
+                sums[i] = [math.fsum(w[a:b]) for a, b in self._spans]
+        terms = (2.0 * (sums / self._sizes) - 1.0) * self._coefs
+        # cumsum adds the terms left to right, where sum would add them pairwise
+        raw = np.cumsum(terms, axis=1)[:, -1]
+        return [sigmoid(self.beta * x) for x in raw.tolist()]
 
 
 @dataclass(frozen=True)

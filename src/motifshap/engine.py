@@ -111,7 +111,8 @@ class CoalitionLattice:
 
     @property
     def query_count(self) -> int:
-        return len(np.unique(self.slots))
+        # slots are dense, 0..q-1, so counting them needs no sort
+        return int(np.count_nonzero(np.bincount(self.slots)))
 
     def at_least(self, min_size: int) -> "CoalitionLattice":
         """The coalitions with at least min_size masked motifs."""
@@ -141,14 +142,15 @@ class Explanation:
 def query_budget(n_motifs: int, depth: int | str) -> int:
     """Distinct coalition evaluations needed: 2^n for exact, otherwise
     sum_{k=0..d} C(n, k) counting from the fully-masked node."""
-    if n_motifs < 0:
+    m = _as_int(n_motifs, "motif count")
+    if m < 0:
         raise ParameterError("motif count must be nonnegative")
     if depth == "exact":
-        return 2 ** n_motifs
-    d = int(depth)
+        return 2 ** m
+    d = _as_int(depth, "depth")
     if d < 0:
         raise ParameterError("depth must be nonnegative")
-    return sum(math.comb(n_motifs, k) for k in range(min(d, n_motifs) + 1))
+    return sum(math.comb(m, k) for k in range(min(d, m) + 1))
 
 
 def check_request(n: int, motifs: Sequence[Motif], depths: Sequence[int] = (),

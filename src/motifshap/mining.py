@@ -23,6 +23,7 @@ already selected.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -42,7 +43,7 @@ class MinerConfig:
             raise ParameterError("support threshold must be >= 1")
         if _as_int(self.max_size, "max motif size") < 2:
             raise ParameterError("max motif size must be >= 2 edges")
-        if self.label not in (None, 0, 1):
+        if self.label is not None and _as_int(self.label, "label filter") not in (0, 1):
             raise ParameterError("label filter must be 0, 1 or omitted")
 
 
@@ -58,6 +59,8 @@ class RankerConfig:
     k: int = 10
 
     def __post_init__(self):
+        if isinstance(self.dt, bool) or not isinstance(self.dt, numbers.Real):
+            raise ParameterError(f"distance threshold must be a number, got {self.dt!r}")
         if not 0.0 <= self.dt <= 1.0:
             raise ParameterError("distance threshold must lie in [0, 1]")
         if _as_int(self.st, "size threshold") < 1:

@@ -130,12 +130,6 @@ def test_scorer_equal_motifs_score_equally(tmp_path):
                 assert values[1:] == values[:1] * len(twins)
 
 
-def test_evaluate_batch_matches_elementwise():
-    bb = GroundTruthScorer(8, random_motif_set(8, 2, 2, philox(9)), [1.0, 0.5])
-    graphs = [random_graph(8, 0.3, philox(s)) for s in range(8)]
-    assert bb.evaluate_batch(graphs) == [bb.evaluate(g) for g in graphs]
-
-
 class RecordingScorer(GroundTruthScorer):
     """GroundTruthScorer that keeps every value its batches return."""
 
@@ -347,6 +341,20 @@ def test_scorer_counts_a_motif_of_more_than_255_edges():
     assert bb.evaluate(weighted) == reference_score(bb, weighted) == sigmoid(2.0 * 0.8 * 0.5)
 
 
+def test_scorer_batch_refuses_another_universe_before_scoring_any_graph(monkeypatch):
+    import motifshap.blackbox
+
+    bb = GroundTruthScorer(8, random_motif_set(8, 2, 3, philox(4)), [1.0, 0.5])
+    scored = []
+    monkeypatch.setattr(motifshap.blackbox, "sigmoid", lambda x: scored.append(x) or 0.5)
+    good = [random_graph(8, 0.5, philox(s)) for s in range(3)]
+    # a smaller universe packs into fewer bytes, a larger one into more
+    for n in (7, 9, 30):
+        with pytest.raises(UniverseMismatchError):
+            bb.evaluate_batch(good + [random_graph(n, 0.5, philox(n))])
+    assert scored == []
+
+
 def test_scorer_over_two_nodes():
     bb = GroundTruthScorer(2, [Motif(0, frozenset({(0, 1)}), -1)], [1.5])
     graphs = [Graph(2, [(0, 1)]), Graph(2, []), Graph(2, [(0, 1)], {(0, 1): 0.25})]
@@ -364,7 +372,12 @@ def test_scorer_batch_mixes_weighted_and_unweighted_graphs():
     assert bb.evaluate_batch(graphs[::-1]) == [reference_score(bb, g) for g in graphs[::-1]]
 
 
-def test_scorer_batch_equals_single_calls_and_the_reference_seeded():
+def test_evaluate_batch_matches_elementwise():
+    bb = GroundTruthScorer(8, random_motif_set(8, 2, 2, philox(9)), [1.0, 0.5])
+    graphs = [random_graph(8, 0.3, philox(s)) for s in range(8)]
+    assert bb.evaluate_batch(graphs) == [bb.evaluate(g) for g in graphs]
+    # seeded sweeps of weighted and unweighted graphs, masked and not,
+    # against single calls and the reference loop
     for seed in range(12):
         rng = philox(2610 + seed)
         n = int(rng.integers(4, 41))

@@ -675,9 +675,9 @@ def test_eval_approx_corr_queries_the_exact_lattice_once(synth_files, tmp_path,
     n, motifs = load_motifs(motif_path)
     scorer = GroundTruthScorer(n, motifs, [0.2, 0.6, 1.0])
     calls = []
-    evaluate = GroundTruthScorer.evaluate
-    monkeypatch.setattr(GroundTruthScorer, "evaluate",
-                        lambda self, g: calls.append(g) or evaluate(self, g))
+    evaluate_batch = GroundTruthScorer.evaluate_batch
+    monkeypatch.setattr(GroundTruthScorer, "evaluate_batch",
+                        lambda self, gs: calls.extend(gs) or evaluate_batch(self, gs))
     out = tmp_path / "corr.json"
     assert run(["eval", "approx-corr", "--dataset", str(data_path),
                 "--motifs", str(motif_path), "--depths", "1,2,3",

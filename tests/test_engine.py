@@ -35,15 +35,16 @@ from conftest import (
 
 
 class CountingScorer(GroundTruthScorer):
-    """GroundTruthScorer that counts evaluate calls."""
+    """GroundTruthScorer that counts the graphs it scores, single calls
+    included, since evaluate goes through evaluate_batch."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.calls = 0
 
-    def evaluate(self, g):
-        self.calls += 1
-        return super().evaluate(g)
+    def evaluate_batch(self, graphs):
+        self.calls += len(graphs)
+        return super().evaluate_batch(graphs)
 
 
 def small_oracle(g, bb, motifs, strategy):
@@ -120,6 +121,14 @@ def test_query_budget_examples():
         query_budget(-1, 1)
     with pytest.raises(ParameterError, match="depth"):
         query_budget(3, -1)
+    # check_request refuses these depths, and so does the budget
+    for bad in (1.5, True, "2"):
+        with pytest.raises(ParameterError, match="depth must be an integer"):
+            query_budget(6, bad)
+        with pytest.raises(ParameterError, match="motif count must be an integer"):
+            query_budget(bad, "exact")
+    # a numpy count is read as a Python int, which does not wrap
+    assert query_budget(np.int64(70), "exact") == 2 ** 70
 
 
 def _instance(seed, n=12, n_motifs=3, motif_edges=3):

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from motifshap import (
@@ -71,9 +72,12 @@ def test_support_threshold_above_dataset_rejected():
         MinerConfig(0, 3)
     with pytest.raises(ParameterError):
         MinerConfig(1, 1)
-    for bad in ((2.5, 3), (2, 3.5), (True, 3), (2, "3")):
+    for bad in ((2.5, 3), (2, 3.5), (True, 3), (2, "3"), (2, 3, True), (2, 3, 1.0)):
         with pytest.raises(ParameterError, match="must be an integer"):
             MinerConfig(*bad)
+    with pytest.raises(ParameterError, match="label filter"):
+        MinerConfig(2, 3, label=2)
+    assert MinerConfig(2, 3, label=np.int64(1)).label == 1
 
 
 def test_label_filtered_mining():
@@ -287,6 +291,9 @@ def test_ranker_validation():
     for bad in ({"k": 2.5}, {"st": 1.5}, {"k": True}, {"st": "3"}):
         with pytest.raises(ParameterError, match="must be an integer"):
             RankerConfig(**bad)
+    for bad in (True, False, "0.5", None):
+        with pytest.raises(ParameterError, match="distance threshold must be a number"):
+            RankerConfig(dt=bad)
     d, a, _, _ = _ranking_dataset()
     with pytest.raises(ParameterError):
         rank_and_select([], d, RankerConfig())
