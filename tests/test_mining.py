@@ -1,6 +1,5 @@
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from motifshap import (
@@ -77,7 +76,6 @@ def test_support_threshold_above_dataset_rejected():
             MinerConfig(*bad)
     with pytest.raises(ParameterError, match="label filter"):
         MinerConfig(2, 3, label=2)
-    assert MinerConfig(2, 3, label=np.int64(1)).label == 1
 
 
 def test_label_filtered_mining():
