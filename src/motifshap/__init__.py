@@ -40,6 +40,7 @@ from .errors import (
     UndefinedCorrelationError,
     UniverseMismatchError,
 )
+from .files import load_dataset, load_graph_file, load_motifs, save_dataset, save_motifs
 from .graphs import (
     Graph,
     LabeledDataset,
@@ -47,11 +48,6 @@ from .graphs import (
     edge_frequency,
     is_connected,
     jaccard_distance,
-    load_dataset,
-    load_graph_file,
-    load_motifs,
-    save_dataset,
-    save_motifs,
     support,
 )
 from .masking import MaskingStrategy

@@ -29,6 +29,10 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateTrainingError, UniverseMismatchError
 from .graphs import Graph, LabeledDataset, Motif, pair_index, weight_vector
 
+#: Most graphs sent to a black box in one evaluate_batch call, by the engine
+#: and by accuracy, so a lattice holds at most this many masked graphs at once.
+BATCH_SIZE = 256
+
 
 def sigmoid(x: float) -> float:
     # piecewise form avoids overflow in exp for large |x|
@@ -228,10 +232,13 @@ def train_linear_surrogate(d: LabeledDataset,
 
 
 def accuracy(bb: BlackBox, d: LabeledDataset) -> float:
-    """Fraction of graphs whose thresholded prediction matches the label."""
+    """Fraction of graphs whose thresholded prediction matches the label,
+    scored by evaluate_batch in slices of at most BATCH_SIZE graphs."""
     if len(d) == 0:
         raise DegenerateTrainingError("accuracy over an empty dataset")
     hits = 0
-    for g, lab in zip(d.graphs, d.labels):
-        hits += int((bb.evaluate(g) > 0.5) == (lab == 1))
+    for i in range(0, len(d), BATCH_SIZE):
+        scores = bb.evaluate_batch(d.graphs[i:i + BATCH_SIZE])
+        hits += sum(int((p > 0.5) == (lab == 1))
+                    for p, lab in zip(scores, d.labels[i:i + BATCH_SIZE]))
     return hits / len(d)

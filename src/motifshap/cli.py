@@ -47,20 +47,19 @@ from .errors import (
     UndefinedCorrelationError,
     UniverseMismatchError,
 )
-from .graphs import (
-    Graph,
-    Motif,
-    _as_int,
+from .files import (
     _read_json,
     atomic_write_text,
     dataset_to_json,
     last_digest,
+    load_correlation,
     load_dataset,
     load_graph_file,
     load_motifs,
     motifs_to_json,
     remember_motifs,
 )
+from .graphs import Graph, Motif
 from .masking import MaskingStrategy
 from .mining import MinerConfig, RankerConfig, cross_support, mine, rank_and_select
 from .stats import expected_scores, global_ranking, pearson, separability
@@ -129,41 +128,6 @@ def _parse_rho(text: str) -> tuple[float, ...]:
     if not values:
         raise ParameterError("rho list is empty")
     return values
-
-
-def _load_correlation(spec: str, n_m: int) -> tuple[tuple[float, ...], ...] | None:
-    """Correlation matrix from a JSON file of sparse symmetric entries,
-    or None for the identity."""
-    if spec == "identity":
-        return None
-    doc = _read_json(spec)
-    try:
-        file_n_m = _as_int(doc["n_m"], "n_m")
-        entries = []
-        for item in doc["entries"]:
-            if type(item) is not list or len(item) != 3:
-                raise ValueError(f"correlation entry {item!r} does not list exactly three items")
-            i, j = _as_int(item[0], "entry index"), _as_int(item[1], "entry index")
-            if type(item[2]) not in (int, float):  # so not a bool or a string
-                raise ValueError(f"correlation {item[2]!r} is not a number")
-            c = float(item[2])
-            if not 0 <= i < file_n_m or not 0 <= j < file_n_m:
-                raise ValueError(f"entry ({i}, {j}) out of range")
-            if not 0.0 <= c <= 1.0:
-                raise ValueError(f"correlation {c} outside [0, 1]")
-            entries.append((i, j, c))
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError, ParameterError) as exc:
-        raise InputFormatError(f"{spec}: malformed correlation file: {exc}") from exc
-    # before the n_m x n_m matrix exists, which a large n_m cannot afford
-    if file_n_m != n_m:
-        raise ParameterError(
-            f"correlation file covers {file_n_m} motifs, expected {n_m}")
-    mat = [[0.0] * n_m for _ in range(n_m)]
-    for i, j, c in entries:
-        mat[i][j] = mat[j][i] = c
-    for i in range(n_m):
-        mat[i][i] = 1.0
-    return tuple(tuple(row) for row in mat)
 
 
 # --- black-box construction --------------------------------------------
@@ -324,7 +288,7 @@ def _explanation_doc(ex: Explanation) -> dict:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     rho = _parse_rho(args.rho)
-    corr = _load_correlation(args.corr, args.motifs)
+    corr = load_correlation(args.corr, args.motifs)
     cfg = SynthConfig(
         n=args.nodes, n_graphs=args.graphs, density=args.density,
         motif_spec=(args.motifs, args.motif_edges), rho=rho,

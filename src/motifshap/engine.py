@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blackbox import BlackBox
+from .blackbox import BATCH_SIZE, BlackBox
 from .errors import (
     ConfigurationError,
     LatticeTooLargeError,
@@ -47,10 +47,6 @@ from .masking import MaskingStrategy, MaskTables
 
 #: Largest motif set exact_explain will enumerate (2^20 coalitions).
 DEFAULT_EXACT_LIMIT = 20
-
-#: Distinct coalition graphs sent to the black box per evaluate_batch call,
-#: so a lattice holds at most this many masked graphs at once.
-BATCH_SIZE = 256
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,7 @@ def separability(d: LabeledDataset, max_pairs: int | None = None,
     distance sample to that size (seeded, without replacement)."""
     if _as_int(seed, "seed") < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
-    if max_pairs is not None and max_pairs < 1:
+    if max_pairs is not None and _as_int(max_pairs, "max_pairs") < 1:
         raise ParameterError("max_pairs must be >= 1")
     zeros = d.label_indices(0)
     ones = d.label_indices(1)

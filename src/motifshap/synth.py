@@ -115,10 +115,14 @@ def sample_motifs(n: int, n_motifs: int, edges_per_motif: int,
     expansion. In the default disjoint mode each motif lives on its own
     block of edges_per_motif + 1 nodes, so motifs share no nodes; class
     signs alternate with index (even index -> class 0 -> sign -1)."""
+    n, n_motifs = _as_int(n, "node count"), _as_int(n_motifs, "motif count")
+    edges_per_motif = _as_int(edges_per_motif, "edge count")
     if n_motifs <= 0 or edges_per_motif <= 0:
         raise ParameterError("motif count and edge count must be positive")
     if isinstance(seed, np.random.Generator):
         rng = seed
+    elif _as_int(seed, "seed") < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
     else:
         rng = _philox(np.random.SeedSequence(seed))
     block = edges_per_motif + 1

@@ -37,8 +37,8 @@ import numpy as np
 
 from .blackbox import BlackBox
 from .errors import ConfigurationError, InputFormatError, ParameterError, TransportError
-from .graphs import (Graph, _as_int, _edge_fragments, _pack_pairs, _weighted_graph,
-                     pair_index, unpack_edges)
+from .files import _edge_fragments
+from .graphs import Graph, _as_int, _pack_pairs, _weighted_graph, pair_index, unpack_edges
 
 PROTOCOL_HELLO = "motif-shap/1"
 

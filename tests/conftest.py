@@ -21,7 +21,7 @@ from motifshap import (
     MaskingStrategy,
     Motif,
     erdos_renyi,
-    graphs,
+    files,
     load_dataset,
     load_motifs,
 )
@@ -92,13 +92,13 @@ def random_motif_set(n: int, count: int, n_edges: int,
 def parses(monkeypatch):
     """Start from an empty parse cache and log every uncached parse of a
     dataset or motif file as (kind, path) in the returned list."""
-    monkeypatch.setattr(graphs, "_parsed", OrderedDict())
+    monkeypatch.setattr(files, "_parsed", OrderedDict())
     log = []
     for kind, name in (("dataset", "_parse_dataset"), ("motifs", "_parse_motifs")):
-        def logged(path, data, parse=getattr(graphs, name), kind=kind):
+        def logged(path, data, parse=getattr(files, name), kind=kind):
             log.append((kind, os.fspath(path)))
             return parse(path, data)
-        monkeypatch.setattr(graphs, name, logged)
+        monkeypatch.setattr(files, name, logged)
     return log
 
 

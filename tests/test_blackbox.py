@@ -273,6 +273,25 @@ def test_accuracy_empty_dataset_rejected():
         accuracy(bb, LabeledDataset(3, (), ()))
 
 
+def test_accuracy_scores_the_dataset_in_batches():
+    sizes = []
+
+    class Recording(GroundTruthScorer):
+        def evaluate_batch(self, graphs):
+            sizes.append(len(graphs))
+            return super().evaluate_batch(graphs)
+
+    rng = philox(27)
+    graphs = tuple(random_graph(6, 0.5, rng) for _ in range(600))
+    labels = tuple(int(x) for x in rng.integers(2, size=600))
+    d = LabeledDataset(6, graphs, labels)
+    bb = Recording(6, [TRIANGLE], [1.0])
+    acc = accuracy(bb, d)
+    assert sizes == [256, 256, 88]
+    hits = sum(int((bb.evaluate(g) > 0.5) == (lab == 1)) for g, lab in zip(graphs, labels))
+    assert acc == hits / 600 and 0.0 < acc < 1.0
+
+
 def test_surrogate_generalizes_to_held_out_graphs():
     """Trained on 150 synthetic graphs, the surrogate must classify at
     least 75% of the remaining 50 correctly."""

@@ -21,7 +21,7 @@ from motifshap import (
     pearson,
     query_budget,
 )
-from motifshap import cli, graphs, wire
+from motifshap import cli, files, wire
 from motifshap.cli import run
 
 from conftest import GOLDEN
@@ -844,10 +844,10 @@ def test_pipeline_reads_each_input_once_and_writes_what_separate_runs_write(
     assert run(["pipeline", str(config)]) == 0
     assert sorted(parses) == [("dataset", str(piped / "data.json")),
                               ("motifs", str(piped / "motifs.json"))]
-    remembered = dict(graphs._parsed)
+    remembered = dict(files._parsed)
 
     for argv in _discovery_stages(separate):
-        graphs._parsed.clear()  # as if each stage ran in its own process
+        files._parsed.clear()  # as if each stage ran in its own process
         assert run(argv) == 0
     outputs = ["mined.json", "selected.json", "sep.json", "sep.csv", "exp.json", "exp.csv"]
     for name in outputs:
@@ -860,7 +860,7 @@ def test_pipeline_reads_each_input_once_and_writes_what_separate_runs_write(
     for name in ("mined.json", "selected.json"):
         raw = (piped / name).read_bytes()
         n, motifs = remembered[("motifs", hashlib.sha256(raw).hexdigest())]
-        graphs._parsed.clear()
+        files._parsed.clear()
         assert (n, list(motifs)) == load_motifs(piped / name)
 
 

@@ -19,7 +19,7 @@ import pytest
 from motifshap import load_dataset, load_motifs, serve, train_linear_surrogate
 from motifshap.wire import _request_line
 from motifshap.cli import run
-from motifshap.graphs import dataset_to_json, motifs_to_json
+from motifshap.files import dataset_to_json, motifs_to_json
 
 from conftest import GOLDEN, golden_average_lattice
 

@@ -27,19 +27,17 @@ from motifshap import (
     save_motifs,
     support,
 )
-from motifshap import graphs
-from motifshap.graphs import (
+import motifshap
+from motifshap import files, graphs
+from motifshap.files import (
     PARSE_CACHE_ENTRIES,
-    _weighted_graph,
-    all_pairs,
     atomic_write_text,
     dataset_to_json,
-    edge_set_jaccard,
     last_digest,
     motifs_to_json,
-    pair_index,
     remember_motifs,
 )
+from motifshap.graphs import _weighted_graph, all_pairs, edge_set_jaccard, pair_index
 
 from conftest import (
     philox,
@@ -48,6 +46,34 @@ from conftest import (
     random_weighted_graph,
     scan_support,
 )
+
+
+PUBLIC_NAMES = [
+    "BlackBox", "CoalitionLattice", "ConfigurationError", "DegenerateTrainingError",
+    "EmptyDatasetError", "ExpectedScoreTable", "Explanation", "ExternalBlackBox", "Graph",
+    "GroundTruthScorer", "InjectionRecord", "InputFormatError", "LabeledDataset",
+    "LatticeTooLargeError", "LinearSurrogate", "MaskingStrategy", "MinerConfig", "Motif",
+    "MotifShapError", "ParameterError", "RankerConfig", "SeparabilityReport", "SynthConfig",
+    "TrainConfig", "TransportError", "UndefinedCorrelationError", "UniverseMismatchError",
+    "WeightingScheme", "__version__", "accuracy", "approx_explain", "cross_support",
+    "edge_frequency", "erdos_renyi", "exact_explain", "expected_scores", "explain_depths",
+    "generate", "global_ranking", "is_connected", "jaccard_distance", "ks_2sample",
+    "load_dataset", "load_graph_file", "load_motifs", "mine", "pearson", "query_budget",
+    "rank_and_select", "sample_motifs", "save_dataset", "save_motifs", "separability",
+    "serve", "spearman", "support", "train_linear_surrogate",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(motifshap.__all__) == PUBLIC_NAMES
+    for name in motifshap.__all__:
+        assert getattr(motifshap, name) is not None
+    for name in ("Graph", "Motif", "LabeledDataset", "InjectionRecord", "pair_index",
+                 "support", "edge_frequency"):
+        assert hasattr(graphs, name), name
+    # the file formats live in files alone
+    for name in ("load_dataset", "save_motifs", "dataset_to_json", "last_digest", "_parsed"):
+        assert hasattr(files, name) and not hasattr(graphs, name), name
 
 
 def test_pair_index_enumerates_upper_triangle():
@@ -589,7 +615,7 @@ def test_only_successful_parses_are_cached(tmp_path, parses):
     for _ in range(2):
         with pytest.raises(InputFormatError, match="malformed dataset"):
             load_dataset(path)
-    assert len(parses) == 2 and not graphs._parsed
+    assert len(parses) == 2 and not files._parsed
 
 
 def test_cache_keeps_the_most_recently_used_files(tmp_path, parses):
@@ -623,7 +649,7 @@ def test_remembered_motifs_are_what_a_parse_gives(tmp_path, parses):
     remember_motifs(path, 10, motifs)
     assert load_motifs(path) == (10, motifs)
     assert parses == []
-    graphs._parsed.clear()
+    files._parsed.clear()
     assert load_motifs(path) == (10, motifs)
     assert parses == [("motifs", str(path))]
 
@@ -654,4 +680,4 @@ def test_cache_survives_concurrent_loads(tmp_path, parses):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(graphs._parsed) <= PARSE_CACHE_ENTRIES
+    assert len(files._parsed) <= PARSE_CACHE_ENTRIES

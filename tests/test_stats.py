@@ -154,6 +154,14 @@ def test_separability_subsampling_is_seeded():
             separability(d, max_pairs=max_pairs, seed=-1)
 
 
+def test_separability_max_pairs_must_be_an_integer():
+    d = _two_class_dataset([[(0, 1)], [(1, 2)], [(0, 2)]], [[(2, 3)], [(3, 4)], [(2, 4)]])
+    for bad in (True, False, 1.5, 3.0, "3"):
+        with pytest.raises(ParameterError, match="max_pairs must be an integer"):
+            separability(d, max_pairs=bad)
+    assert separability(d, max_pairs=np.int64(2)) == separability(d, max_pairs=2)
+
+
 def _motifs_with_signs():
     return [Motif(0, frozenset({(0, 1)}), -1), Motif(1, frozenset({(1, 2)}), 1)]
 

@@ -16,7 +16,7 @@ from motifshap import (
     mine,
     sample_motifs,
 )
-from motifshap.graphs import dataset_to_json, motifs_to_json
+from motifshap.files import dataset_to_json, motifs_to_json
 
 from conftest import injection_marginals, philox
 
@@ -112,6 +112,17 @@ def test_sample_motifs_infeasible_disjointness():
         sample_motifs(10, 3, 4, seed=0)  # needs 15 nodes
     with pytest.raises(ParameterError):
         sample_motifs(10, 0, 4, seed=0)
+
+
+def test_sample_motifs_arguments_must_be_integers():
+    for args in ((20.0, 2, 3), (20, 1.5, 3), (20, True, 3), (20, 2, 2.0), (20, 2, "3")):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            sample_motifs(*args)
+    for seed in (1.5, True, "7", -1):
+        with pytest.raises(ParameterError, match="seed"):
+            sample_motifs(20, 2, 3, seed=seed)
+    assert (sample_motifs(np.int64(20), np.int32(2), np.int64(3), seed=np.int64(4))
+            == sample_motifs(20, 2, 3, seed=4))
 
 
 def _cfg(**overrides):
