@@ -15,11 +15,13 @@ bit for bit.
 
 Coalitions whose masked graphs are identical are merged into one query.
 evaluate_lattice keys each coalition by lookups in its MaskTables
-(masking.py): the OR of one table entry per chunk of masking.CHUNK motifs,
-an int of at most sum(|motif|) bits that is equal for two coalitions
-exactly when their masked graphs are. A masked graph is built only for a
-key not seen before, so the black box sees the distinct graphs in
-first-occurrence order, in batches of BATCH_SIZE.
+(masking.py), an int of at most sum(|motif|) bits that is equal for two
+coalitions exactly when their masked graphs are. It walks the ascending
+masks in blocks that share mask >> masking.CHUNK: the block's high key
+is looked up once, so each coalition costs one low-table lookup, one OR
+and one dict probe. A masked graph is built only for a key not seen
+before, so the black box sees the distinct graphs in first-occurrence
+order, in batches of BATCH_SIZE.
 
 Each score is one math.fsum over its marginal terms. fsum is correctly
 rounded, so the result does not depend on the order of the terms or of
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -43,7 +46,7 @@ from .errors import (
     UniverseMismatchError,
 )
 from .graphs import Graph, Motif, _as_int
-from .masking import MaskingStrategy, MaskTables
+from .masking import MaskingStrategy, MaskTables, blocks
 
 #: Largest motif set exact_explain will enumerate (2^20 coalitions).
 DEFAULT_EXACT_LIMIT = 20
@@ -96,9 +99,9 @@ class WeightingScheme:
 @dataclass(frozen=True)
 class CoalitionLattice:
     """Black-box values of the evaluated coalitions. masks holds the
-    masked-set bitmasks in ascending order (bit i set = motif i masked);
-    values[j] is the value of masks[j] and slots[j] the distinct query it
-    was merged into."""
+    masked-set bitmasks, each once, in ascending order (bit i set = motif
+    i masked); values[j] is the value of masks[j] and slots[j] the
+    distinct query it was merged into."""
 
     n_motifs: int
     masks: np.ndarray
@@ -112,7 +115,7 @@ class CoalitionLattice:
 
     def at_least(self, min_size: int) -> "CoalitionLattice":
         """The coalitions with at least min_size masked motifs."""
-        keep = _popcounts(self.masks) >= min_size
+        keep = _popcounts(self.masks, self.n_motifs) >= min_size
         return CoalitionLattice(self.n_motifs, self.masks[keep],
                                 self.values[keep], self.slots[keep])
 
@@ -180,47 +183,64 @@ def evaluate_lattice(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
                      strategy: MaskingStrategy,
                      masks: Sequence[int]) -> CoalitionLattice:
     """Evaluate the black box on the given masked-set bitmasks (ascending),
-    merging coalitions whose masked graphs are identical. Each coalition is
-    keyed by table lookups (MaskTables.key), and a masked graph is built
-    only for a key not seen before. Distinct graphs go to bb.evaluate_batch
-    in first-occurrence order, in batches of BATCH_SIZE as they are found."""
+    merging coalitions whose masked graphs are identical. The masks are
+    walked block by block (masking.blocks): a block's high key is looked
+    up once, and its graphs' high union only when the block first meets
+    a key not seen before. Distinct graphs go to bb.evaluate_batch in
+    first-occurrence order, in batches of BATCH_SIZE as they are found."""
     m = len(motifs)
+    # int64 holds the masks of up to 63 motifs; beyond that, Python ints
+    masks = np.asarray(masks, dtype=np.int64 if m < 64 else object)
     tables = MaskTables(strategy, g, motifs)
-    key_of, graph_of = tables.key, tables.graph
+    low_keys = tables.low_keys
     slot_by_key: dict[int, int] = {}
-    slots = np.empty(len(masks), dtype=np.int64)
+    slots = array("q")
     slot_values: list[float] = []
     pending: list[Graph] = []
-    for j, mask in enumerate(masks):
-        key = key_of(mask)
-        slot = slot_by_key.get(key)
-        if slot is None:
-            slot = slot_by_key[key] = len(slot_by_key)
-            pending.append(graph_of(mask))
-            if len(pending) == BATCH_SIZE:
-                slot_values += bb.evaluate_batch(pending)
-                pending = []
-        slots[j] = slot
+    probe, record = slot_by_key.get, slots.append
+    for high, lows in blocks(masks):
+        high_key, graph_of = tables.high_key(high), None
+        for low in lows:
+            key = high_key | low_keys[low]
+            slot = probe(key)
+            if slot is None:
+                slot = slot_by_key[key] = len(slot_by_key)
+                graph_of = graph_of or tables.block(high)
+                pending.append(graph_of(low))
+                if len(pending) == BATCH_SIZE:
+                    slot_values += bb.evaluate_batch(pending)
+                    pending = []
+            record(slot)
     if pending:
         slot_values += bb.evaluate_batch(pending)
+    slot_of = np.frombuffer(slots, dtype=np.int64)
     return CoalitionLattice(
         n_motifs=m,
-        # int64 holds the masks of up to 63 motifs; beyond that, Python ints
-        masks=np.asarray(masks, dtype=np.int64 if m < 64 else object),
-        values=np.asarray(slot_values, dtype=np.float64)[slots],
-        slots=slots,
+        masks=masks,
+        values=np.asarray(slot_values, dtype=np.float64)[slot_of],
+        slots=slot_of,
     )
 
 
-def _popcounts(masks: np.ndarray) -> np.ndarray:
-    return np.array([x.bit_count() for x in masks.tolist()], dtype=np.int64)
+#: Set bits of each byte value
+_BYTE_BITS = np.array([b.bit_count() for b in range(256)], dtype=np.int64)
+
+
+def _popcounts(masks: np.ndarray, m: int) -> np.ndarray:
+    """Set bits of each of the masks of m motifs."""
+    if masks.dtype == object:
+        return np.array([x.bit_count() for x in masks.tolist()], dtype=np.int64)
+    sizes = np.zeros(len(masks), dtype=np.int64)
+    for shift in range(0, m, 8):
+        sizes += _BYTE_BITS[(masks >> shift) & 0xFF]
+    return sizes
 
 
 def _masks_at_least(m: int, min_size: int) -> Sequence[int]:
     """Bitmasks of all subsets of m motifs with size >= min_size, in
-    ascending integer order."""
+    ascending integer order; all 2^m of them as an int64 array."""
     if min_size <= 0:
-        return range(1 << m)
+        return np.arange(1 << m, dtype=np.int64)
     masks = []
     for size in range(min_size, m + 1):
         for combo in itertools.combinations(range(m), size):
@@ -236,14 +256,22 @@ def _scores(lattice: CoalitionLattice, weighting: WeightingScheme) -> list[float
     m = lattice.n_motifs
     masks, values = lattice.masks, lattice.values
     table = np.array([weighting.weight(s, m) for s in range(m)], dtype=np.float64)
-    sizes = _popcounts(masks)
+    sizes = _popcounts(masks, m)
+    # a full lattice holds every mask, so masks[j] == j
+    full = len(masks) == 1 << m
     scores = []
     for i in range(m):
         bit = 1 << i
-        lo = np.flatnonzero((masks & bit) == 0)
-        hi = np.searchsorted(masks, masks[lo] | bit)
-        terms = table[sizes[lo]] * (values[lo] - values[hi])
-        scores.append(math.fsum(terms.tolist()))
+        if full:
+            # in each run of 2^(i+1) masks, the first half lacks motif i
+            # and the second half adds it to the first, mask by mask
+            pairs = values.reshape(-1, 2, bit)
+            terms = table[sizes.reshape(-1, 2, bit)[:, 0]] * (pairs[:, 0] - pairs[:, 1])
+        else:
+            lo = np.flatnonzero((masks & bit) == 0)
+            hi = np.searchsorted(masks, masks[lo] | bit)
+            terms = table[sizes[lo]] * (values[lo] - values[hi])
+        scores.append(math.fsum(terms.ravel().tolist()))
     return scores
 
 

@@ -27,6 +27,13 @@ key bits and, for average, the union's background frequencies other
 than 1.0. A subset's entry is the join of one entry per chunk. Tables
 belong to one graph and one motif list; nothing is kept across them.
 
+Masks are walked in blocks (blocks()): a block is a run of ascending
+masks that share high = mask >> CHUNK, so they differ only in the low
+chunk. The join of the high chunks' entries is taken once per block
+(high_key, and block for the graphs), and each mask of the block adds
+one entry of the low chunk's table. key(mask) and graph(mask) are that
+walk over the block of one mask.
+
 Every masked graph equals g outside W, and on W it depends only on U,
 and only on U's edges where masking changes something: all of W for
 toggle, W's edges of g for remove, and for average the edges of W other
@@ -43,9 +50,12 @@ re-validation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ConfigurationError, UniverseMismatchError
 from .graphs import Graph, LabeledDataset, Motif, edge_frequency, pair_index
@@ -104,6 +114,20 @@ def _merged(a: dict, b: dict) -> dict:
     return {**a, **b}
 
 
+def blocks(masks: np.ndarray) -> Iterator[tuple[int, Sequence[int]]]:
+    """(high, lows) for each run of the ascending masks that share
+    high = mask >> CHUNK; lows are the run's masks & (2^CHUNK - 1)."""
+    highs = masks >> CHUNK
+    starts = [0, *(np.flatnonzero(highs[1:] != highs[:-1]) + 1).tolist()]
+    highs = highs[starts].tolist()
+    if len(masks) == len(starts) << CHUNK:
+        # every run holds all 2^CHUNK low chunks, as in a full lattice
+        return zip(highs, itertools.repeat(range(1 << CHUNK)))
+    lows = (masks & _LOW).tolist()
+    ends = starts[1:] + [len(masks)]
+    return ((high, lows[a:b]) for high, a, b in zip(highs, starts, ends))
+
+
 class MaskTables:
     """Lookup tables that mask every subset of one motif list in one graph,
     built from one pass over W (see the module docstring).
@@ -132,44 +156,70 @@ class MaskTables:
                 changes = not changes or weights.get(e, 1.0) != f
             key_bit[e] = 1 << k if changes else 0
         self._g, self._kind = g, kind
-        chunks = range(0, len(motifs), CHUNK)
+        # one chunk even without motifs, so that mask 0 has a table entry
+        chunks = range(0, max(len(motifs), 1), CHUNK)
+
+        def tables(items, empty, join):
+            return [_doubled(items[c:c + CHUNK], empty, join) for c in chunks]
+
         bits = [sum(bit[e] for e in m.edges) for m in motifs]
         keys = [sum(key_bit[e] for e in m.edges) for m in motifs]
-        self._unions = [_doubled(bits[c:c + CHUNK], 0, or_) for c in chunks]
-        self._keys = [_doubled(keys[c:c + CHUNK], 0, or_) for c in chunks]
+        #: key bits of each subset of the low chunk's motifs
+        self.low_keys, *self._high_keys = tables(keys, 0, or_)
+        self._low_unions, *self._high_unions = tables(bits, 0, or_)
         if kind == "average":
             freqs = [{e: freq[e] for e in m.edges if freq[e] != 1.0} for m in motifs]
-            self._freqs = [_doubled(freqs[c:c + CHUNK], {}, _merged) for c in chunks]
+            self._low_freqs, *self._high_freqs = tables(freqs, {}, _merged)
             # g's weights off W always stay; those on W give way to U's frequencies
             self._off_w = {e: x for e, x in weights.items() if e not in bit}
             self._on_w = [(e, x, bit[e]) for e, x in weights.items() if e in bit]
 
+    def high_key(self, high: int) -> int:
+        """The key bits of the high chunks' motifs in every mask of the
+        block high; a mask's key is this OR low_keys[mask & (2^CHUNK - 1)]."""
+        key = 0
+        for table in self._high_keys:
+            key |= table[high & _LOW]
+            high >>= CHUNK
+        return key
+
+    def block(self, high: int) -> Callable[[int], Graph]:
+        """The masked graph of the subset high << CHUNK | low, as a
+        function of low."""
+        g, kind, lows = self._g, self._kind, self._low_unions
+        high_union, rest = 0, high
+        for table in self._high_unions:
+            high_union |= table[rest & _LOW]
+            rest >>= CHUNK
+        if kind == "average":
+            low_freqs, high_freqs, rest = self._low_freqs, [], high
+            for table in self._high_freqs:
+                high_freqs.append(table[rest & _LOW])
+                rest >>= CHUNK
+
+        def graph(low: int) -> Graph:
+            union = high_union | lows[low]
+            if not union and g.weights is None:
+                return g
+            if kind == "remove":
+                return Graph._trusted(g.n, g.edge_bits & ~union)
+            if kind == "toggle":
+                return Graph._trusted(g.n, g.edge_bits ^ union)
+            # average: union edges are present at their background frequency
+            # (possibly 0.0); other edges keep the weight they have in g
+            weights = dict(self._off_w)
+            weights.update((e, x) for e, x, b in self._on_w if not union & b)
+            weights.update(low_freqs[low])
+            for entry in high_freqs:
+                weights.update(entry)
+            return Graph._trusted(g.n, g.edge_bits | union, weights or None)
+
+        return graph
+
     def key(self, mask: int) -> int:
         """U & relevant in dense W coordinates for the subset mask."""
-        k = 0
-        for table in self._keys:
-            k |= table[mask & _LOW]
-            mask >>= CHUNK
-        return k
+        return self.high_key(mask >> CHUNK) | self.low_keys[mask & _LOW]
 
     def graph(self, mask: int) -> Graph:
         """g with the motifs of the subset mask masked."""
-        g = self._g
-        union, rest = 0, mask
-        for table in self._unions:
-            union |= table[rest & _LOW]
-            rest >>= CHUNK
-        if not union and g.weights is None:
-            return g
-        if self._kind == "remove":
-            return Graph._trusted(g.n, g.edge_bits & ~union)
-        if self._kind == "toggle":
-            return Graph._trusted(g.n, g.edge_bits ^ union)
-        # average: union edges are present at their background frequency
-        # (possibly 0.0); other edges keep the weight they have in g
-        weights = dict(self._off_w)
-        weights.update((e, x) for e, x, b in self._on_w if not union & b)
-        for table in self._freqs:
-            weights.update(table[mask & _LOW])
-            mask >>= CHUNK
-        return Graph._trusted(g.n, g.edge_bits | union, weights or None)
+        return self.block(mask >> CHUNK)(mask & _LOW)

@@ -78,10 +78,13 @@ class SynthConfig:
             object.__setattr__(self, "correlation", c)
 
     def _sampled(self) -> tuple[int, int] | None:
-        """motif_spec when it is a (count, edges_per_motif) pair, else None."""
+        """motif_spec as ints when it is a (count, edges_per_motif) pair of
+        Python or numpy integers, else None; a bool in the pair, Python's
+        or numpy's, raises ParameterError."""
         spec = self.motif_spec
-        if isinstance(spec, tuple) and len(spec) == 2 and all(isinstance(x, int) for x in spec):
-            return spec
+        if isinstance(spec, tuple) and len(spec) == 2 and all(
+                isinstance(x, (int, np.integer, np.bool_)) for x in spec):
+            return _as_int(spec[0], "motif count"), _as_int(spec[1], "edge count")
         return None
 
     @property
@@ -134,6 +137,11 @@ def sample_motifs(n: int, n_motifs: int, edges_per_motif: int,
         order = [int(x) for x in rng.permutation(n)]
         pools = [order[k * block:(k + 1) * block] for k in range(n_motifs)]
     else:
+        pairs = max(n, 0) * (n - 1) // 2
+        if edges_per_motif > pairs:
+            raise ParameterError(
+                f"a motif of {edges_per_motif} edges does not fit the {pairs} "
+                f"node pairs of a {n}-node universe")
         pools = [list(range(n)) for _ in range(n_motifs)]
 
     motifs = []

@@ -475,10 +475,38 @@ def _key_blackboxes(motifs):
     reads the weight of every node pair."""
     n = 8
     signed = [Motif(mot.id, mot.edges, 1 if i % 2 else -1) for i, mot in enumerate(motifs)]
-    scorer = GroundTruthScorer(n, signed, [0.9, 0.3, 0.6, 0.45, 0.8][:len(motifs)])
+    scorer = GroundTruthScorer(n, signed, [(0.9, 0.3, 0.6, 0.45, 0.8)[i % 5]
+                                           for i in range(len(motifs))])
     rng = philox(700)
     surrogate = LinearSurrogate(n, rng.normal(0, 1, n * (n - 1) // 2), -0.2)
     return scorer, surrogate
+
+
+def _three_chunk_instance():
+    """9 overlapping 2-edge motifs over KEY_BACKGROUND's 8 nodes, so the
+    lattice spans three chunks of masking.CHUNK motifs (4 + 4 + 1), and a
+    graph whose edges weigh 1.0 or a quarter, which meets the background
+    frequencies on some edges."""
+    rng = philox(800)
+    motifs = random_motif_set(8, 9, 2, rng)
+    plain = random_graph(8, 0.5, rng)
+    quarters = (0.0, 0.25, 0.5, 0.75, 1.0)
+    picks = rng.integers(0, len(quarters), len(plain.edges)).tolist()
+    g = Graph(8, plain.edges, {e: quarters[i] for e, i in zip(plain.sorted_edges(), picks)})
+    return g, motifs
+
+
+def test_three_chunks_of_overlapping_motifs_match_the_reference(monkeypatch):
+    # every depth below 9 starts its masks mid-block, at 2^(9 - depth) - 1;
+    # the surrogate reads every node pair, so a wrong graph shows in its
+    # value. average's graphs at this instance are compared one by one in
+    # test_blackbox_sees_the_references_first_occurrence_sequence
+    monkeypatch.setattr(engine, "BATCH_SIZE", 5)
+    g, motifs = _three_chunk_instance()
+    _, surrogate = _key_blackboxes(motifs)
+    for strat in (MaskingStrategy.remove(), MaskingStrategy.toggle()):
+        assert_matches_reference(g, surrogate, motifs, strat)
+        assert exact_explain(g, surrogate, motifs, strat).query_count < 2 ** len(motifs)
 
 
 def test_average_merges_coalitions_only_where_weights_equal_frequencies(monkeypatch):
@@ -552,22 +580,25 @@ def test_blackbox_sees_the_references_first_occurrence_sequence(monkeypatch):
             self.sent.extend(graphs)
             return [LinearSurrogate.evaluate(self, h) for h in graphs]
 
-    g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)],
-              {(0, 1): 0.5, (1, 2): 0.7, (3, 4): 0.9, (5, 6): 0.3})
-    motifs = [Motif(0, frozenset({(0, 1)})), Motif(1, frozenset({(2, 3)})),
-              Motif(2, frozenset({(4, 5)})), Motif(3, frozenset({(1, 2), (2, 3)})),
-              Motif(4, frozenset({(5, 6), (6, 7)}))]
-    _, surrogate = _key_blackboxes(motifs)
+    five = (Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)],
+                  {(0, 1): 0.5, (1, 2): 0.7, (3, 4): 0.9, (5, 6): 0.3}),
+            [Motif(0, frozenset({(0, 1)})), Motif(1, frozenset({(2, 3)})),
+             Motif(2, frozenset({(4, 5)})), Motif(3, frozenset({(1, 2), (2, 3)})),
+             Motif(4, frozenset({(5, 6), (6, 7)}))])
     w = WeightingScheme.classic()
-    for strat in (MaskingStrategy.remove(), MaskingStrategy.toggle(),
-                  MaskingStrategy.average(KEY_BACKGROUND)):
-        for depth in (2, len(motifs)):
-            got, want = [], []
-            approx_explain(g, Recording(surrogate, got), motifs, strat, w, depth=depth)
-            reference_explain(g, Recording(surrogate, want), motifs, strat.kind,
-                              strat.background, w, depth, False)
-            assert got == want
-            assert [_request_line(0, h) for h in got] == [_request_line(0, h) for h in want]
+    # the second instance spans three chunks; depth 3 starts mid-block
+    for (g, motifs), depths in ((five, (2, 5)), (_three_chunk_instance(), (3, 9))):
+        _, surrogate = _key_blackboxes(motifs)
+        for strat in (MaskingStrategy.remove(), MaskingStrategy.toggle(),
+                      MaskingStrategy.average(KEY_BACKGROUND)):
+            for depth in depths:
+                got, want = [], []
+                approx_explain(g, Recording(surrogate, got), motifs, strat, w, depth=depth)
+                reference_explain(g, Recording(surrogate, want), motifs, strat.kind,
+                                  strat.background, w, depth, False)
+                assert got == want
+                assert ([_request_line(0, h) for h in got]
+                        == [_request_line(0, h) for h in want])
 
 
 def test_lattice_is_evaluated_in_bounded_batches(monkeypatch):

@@ -48,6 +48,15 @@ def test_config_validation():
         with pytest.raises(ParameterError, match="must be an integer"):
             SynthConfig(**{**ok, field: value})
     SynthConfig(**{**ok, "n": np.int64(20), "n_graphs": np.int32(10)})
+    for spec in ((True, 3), (2, True), (np.bool_(True), 3)):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            SynthConfig(**{**ok, "motif_spec": spec})
+
+
+def test_a_numpy_integer_motif_spec_is_sampled():
+    cfg = _cfg(motif_spec=(np.int64(3), np.int32(3)))
+    assert cfg.n_motifs == 3 and type(cfg.n_motifs) is int
+    assert generate(cfg) == generate(_cfg())
 
 
 def test_injection_record_validation():
@@ -112,6 +121,15 @@ def test_sample_motifs_infeasible_disjointness():
         sample_motifs(10, 3, 4, seed=0)  # needs 15 nodes
     with pytest.raises(ParameterError):
         sample_motifs(10, 0, 4, seed=0)
+
+
+def test_sample_motifs_overlapping_mode_refuses_a_motif_larger_than_the_universe():
+    # 3 nodes have 3 pairs; 0 and 1 nodes have none
+    for n, edges in ((3, 4), (1, 1), (0, 1), (-2, 1)):
+        with pytest.raises(ParameterError, match="node pairs"):
+            sample_motifs(n, 1, edges, disjoint=False)
+    (motif,) = sample_motifs(3, 1, 3, disjoint=False)
+    assert motif.edges == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_sample_motifs_arguments_must_be_integers():
