@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateTrainingError, UniverseMismatchError
-from .graphs import Graph, LabeledDataset, Motif, pair_index, weight_vector
+from .graphs import Graph, LabeledDataset, Motif, _is_real, pair_index, weight_vector
 
 #: Most graphs sent to a black box in one evaluate_batch call, by the engine
 #: and by accuracy, so a lattice holds at most this many masked graphs at once.
@@ -102,7 +102,7 @@ class GroundTruthScorer(BlackBox):
                  importances: Sequence[float], beta: float = 2.0):
         if len(importances) != len(motifs):
             raise ConfigurationError("one importance per motif required")
-        if not (beta > 0 and math.isfinite(beta)):
+        if not (_is_real(beta) and beta > 0 and math.isfinite(beta)):
             raise ConfigurationError(f"steepness beta must be positive and finite, got {beta}")
         for m in motifs:
             if m.class_sign is None:
@@ -111,7 +111,7 @@ class GroundTruthScorer(BlackBox):
                 raise UniverseMismatchError(f"motif {m.id} reaches node {m.max_node()}, "
                                             f"outside node universe [0, {n})")
         for u in importances:
-            if not (u >= 0 and math.isfinite(u)):
+            if not (_is_real(u) and u >= 0 and math.isfinite(u)):
                 raise ConfigurationError(f"importances must be nonnegative and finite, got {u}")
         self.n = n
         self.motifs = tuple(motifs)
@@ -165,9 +165,10 @@ class TrainConfig:
     epochs: int = 300
 
     def __post_init__(self):
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+        lr = self.learning_rate
+        if not (_is_real(lr) and lr > 0 and math.isfinite(lr)):
             raise ConfigurationError(
-                f"learning rate must be positive and finite, got {self.learning_rate}")
+                f"learning rate must be positive and finite, got {lr}")
         epochs = self.epochs
         if isinstance(epochs, bool) or not isinstance(epochs, (int, np.integer)) or epochs < 0:
             raise ConfigurationError(

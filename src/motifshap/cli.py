@@ -59,7 +59,7 @@ from .files import (
     motifs_to_json,
     remember_motifs,
 )
-from .graphs import Graph, Motif
+from .graphs import Graph, LabeledDataset, Motif
 from .masking import MaskingStrategy
 from .mining import MinerConfig, RankerConfig, cross_support, mine, rank_and_select
 from .stats import expected_scores, global_ranking, pearson, separability
@@ -195,6 +195,12 @@ class _ExplainJob(NamedTuple):
     inputs: list[str]
 
 
+def _check_universe(n: int, dataset: LabeledDataset) -> None:
+    """Raise unless a motif file over n nodes fits the dataset's universe."""
+    if n != dataset.n:
+        raise ParameterError(f"motif file over {n} nodes, dataset over {dataset.n}")
+
+
 def _explain_job(args: argparse.Namespace, depths: str | None) -> _ExplainJob:
     """Load and check all that explain, eval approx-corr and eval global need,
     so that no black box is built, spawned or trained for a run that cannot
@@ -204,8 +210,8 @@ def _explain_job(args: argparse.Namespace, depths: str | None) -> _ExplainJob:
     dataset = load_dataset(args.dataset) if args.dataset is not None else None
     n, motifs = load_motifs(args.motifs)
     inputs = [p for p in (args.dataset, args.motifs) if p is not None]
-    if dataset is not None and dataset.n != n:
-        raise ParameterError(f"motif file over {n} nodes, dataset over {dataset.n}")
+    if dataset is not None:
+        _check_universe(n, dataset)
     if args.mask == "average" and dataset is None:
         raise ParameterError("--mask average needs --dataset as background")
     strategy = (MaskingStrategy.average(dataset) if args.mask == "average"
@@ -317,9 +323,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 def _cmd_rank(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     n, motifs = load_motifs(args.motifs)
-    if n != dataset.n:
-        raise ParameterError(
-            f"motif file over {n} nodes, dataset over {dataset.n}")
+    _check_universe(n, dataset)
     cfg = RankerConfig(dt=args.dt, st=args.st, k=args.k)
     selected = rank_and_select(motifs, dataset, cfg)
     scores = [cross_support(m, dataset) for m in selected]
@@ -349,6 +353,7 @@ def _cmd_eval_expected(args: argparse.Namespace) -> int:
     if dataset.injections is None:
         raise ParameterError(f"{args.dataset} carries no injection record")
     n, motifs = load_motifs(args.motifs)
+    _check_universe(n, dataset)
     rho = _parse_rho(args.rho)
     table = expected_scores(InjectionRecord._trusted(dataset.injections), motifs, rho)
     doc = {

@@ -238,15 +238,14 @@ def _popcounts(masks: np.ndarray, m: int) -> np.ndarray:
 
 def _masks_at_least(m: int, min_size: int) -> Sequence[int]:
     """Bitmasks of all subsets of m motifs with size >= min_size, in
-    ascending integer order; all 2^m of them as an int64 array."""
+    ascending integer order; all 2^m of them as an int64 array. Each
+    leaves at most m - min_size motifs unmasked, as query_budget counts."""
     if min_size <= 0:
         return np.arange(1 << m, dtype=np.int64)
-    masks = []
-    for size in range(min_size, m + 1):
-        for combo in itertools.combinations(range(m), size):
-            masks.append(sum(1 << i for i in combo))
-    masks.sort()
-    return masks
+    full = (1 << m) - 1
+    return sorted(full ^ sum(1 << i for i in unmasked)
+                  for k in range(m - min_size + 1)
+                  for unmasked in itertools.combinations(range(m), k))
 
 
 def _scores(lattice: CoalitionLattice, weighting: WeightingScheme) -> list[float]:

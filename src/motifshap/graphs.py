@@ -36,6 +36,7 @@ and digests, live in files.py.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -57,6 +58,11 @@ def _as_int(x: object, what: str) -> int:
     if type(x) is int or isinstance(x, np.integer):
         return int(x)
     raise ParameterError(f"{what} must be an integer, got {x!r}")
+
+
+def _is_real(x: object) -> bool:
+    """Whether x is a Python or numpy real number; a bool is not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def canonical_edge(u: int, v: int) -> Edge:

@@ -84,8 +84,6 @@ class MaskingStrategy:
 
     @classmethod
     def average(cls, background: LabeledDataset) -> "MaskingStrategy":
-        if len(background) == 0:
-            raise ConfigurationError("average masking needs a nonempty background dataset")
         return cls("average", background)
 
     def __post_init__(self):
@@ -93,6 +91,8 @@ class MaskingStrategy:
             raise ConfigurationError(f"unknown masking strategy {self.kind!r}")
         if self.kind == "average" and self.background is None:
             raise ConfigurationError("average masking needs a background dataset")
+        if self.kind == "average" and len(self.background) == 0:
+            raise ConfigurationError("average masking needs a nonempty background dataset")
 
     def mask(self, g: Graph, motifs: Iterable[Motif]) -> Graph:
         """Graph presented to the black box when the given motifs are

@@ -23,13 +23,12 @@ already selected.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 from .errors import ParameterError
-from .graphs import Edge, LabeledDataset, Motif, _as_int, edge_set_jaccard
+from .graphs import Edge, LabeledDataset, Motif, _as_int, _is_real, edge_set_jaccard
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class RankerConfig:
     k: int = 10
 
     def __post_init__(self):
-        if isinstance(self.dt, bool) or not isinstance(self.dt, numbers.Real):
+        if not _is_real(self.dt):
             raise ParameterError(f"distance threshold must be a number, got {self.dt!r}")
         if not 0.0 <= self.dt <= 1.0:
             raise ParameterError("distance threshold must lie in [0, 1]")

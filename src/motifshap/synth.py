@@ -9,9 +9,11 @@ and motif parities agree (j mod 2 == k mod 2) and all removed otherwise.
 The injection record I stores +1 / -1 / 0 per (graph, motif).
 
 Randomness comes from numpy's counter-based Philox generator with
-documented stream splitting, so outputs are reproducible bit for bit
-across platforms: SeedSequence(seed) spawns three children used for, in
-order, the R matrix, the per-graph ER substreams, and motif sampling.
+documented stream splitting, so for one numpy version outputs are
+reproducible bit for bit across platforms; numpy does not keep its
+Generator methods' draws fixed across versions. SeedSequence(seed)
+spawns three children used for, in order, the R matrix, the per-graph ER
+substreams, and motif sampling.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .graphs import (Edge, Graph, InjectionRecord, LabeledDataset, Motif, _as_int, pack_edges,
-                     pack_flags)
+from .graphs import (Edge, Graph, InjectionRecord, LabeledDataset, Motif, _as_int, _is_real,
+                     pack_edges, pack_flags)
 
 
 def _philox(seq: np.random.SeedSequence) -> np.random.Generator:
@@ -53,29 +55,31 @@ class SynthConfig:
         if self.n_graphs % 2 != 0:
             raise ParameterError(
                 "graph count must be even so classes are balanced")
-        if not 0.0 < self.density < 1.0:
+        if not (_is_real(self.density) and 0.0 < self.density < 1.0):
             raise ParameterError("density must lie in (0, 1)")
         if _as_int(self.seed, "seed") < 0:
             raise ParameterError(f"seed must be nonnegative, got {self.seed}")
-        object.__setattr__(self, "rho", tuple(float(r) for r in self.rho))
-        for r in self.rho:
-            if not 0.0 <= r <= 1.0:
+        rho = tuple(self.rho)
+        for r in rho:
+            if not (_is_real(r) and 0.0 <= r <= 1.0):
                 raise ParameterError(f"rho entry {r} outside [0, 1]")
+        object.__setattr__(self, "rho", tuple(float(r) for r in rho))
         n_m = self.n_motifs
         if len(self.rho) != n_m:
             raise ParameterError(
                 f"rho has {len(self.rho)} entries for {n_m} motifs")
         if self.correlation is not None:
-            c = tuple(tuple(float(x) for x in row) for row in self.correlation)
+            c = tuple(tuple(row) for row in self.correlation)
             if len(c) != n_m or any(len(row) != n_m for row in c):
                 raise ParameterError(f"correlation matrix must be {n_m}x{n_m}")
             for i, row in enumerate(c):
                 for j, x in enumerate(row):
-                    if not 0.0 <= x <= 1.0:
+                    if not (_is_real(x) and 0.0 <= x <= 1.0):
                         raise ParameterError(f"correlation entry {x} outside [0, 1]")
                     if i == j and x != 1.0:
                         raise ParameterError("correlation diagonal must be 1")
-            object.__setattr__(self, "correlation", c)
+            object.__setattr__(self, "correlation",
+                               tuple(tuple(float(x) for x in row) for row in c))
 
     def _sampled(self) -> tuple[int, int] | None:
         """motif_spec as ints when it is a (count, edges_per_motif) pair of
@@ -106,7 +110,7 @@ def _er_bits(n: int, density: float, rng: np.random.Generator) -> int:
 def erdos_renyi(n: int, density: float, rng: np.random.Generator) -> Graph:
     """ER graph: each of the n(n-1)/2 pairs drawn independently with the
     given probability, consuming exactly one uniform per pair."""
-    if not 0.0 < density < 1.0:
+    if not (_is_real(density) and 0.0 < density < 1.0):
         raise ParameterError("density must lie in (0, 1)")
     return Graph._trusted(n, _er_bits(n, density, rng))
 

@@ -38,7 +38,7 @@ import numpy as np
 from .blackbox import BlackBox
 from .errors import ConfigurationError, InputFormatError, ParameterError, TransportError
 from .files import _edge_fragments
-from .graphs import Graph, _as_int, _pack_pairs, _weighted_graph, pair_index, unpack_edges
+from .graphs import Graph, _as_int, _is_real, _pack_pairs, _weighted_graph, pair_index, unpack_edges
 
 PROTOCOL_HELLO = "motif-shap/1"
 
@@ -164,7 +164,7 @@ class ExternalBlackBox(BlackBox):
     def __init__(self, command: Sequence[str], timeout: float = 30.0):
         if not command:
             raise ConfigurationError("external black-box command is empty")
-        if not (timeout > 0 and math.isfinite(timeout)):
+        if not (_is_real(timeout) and timeout > 0 and math.isfinite(timeout)):
             raise ConfigurationError(f"timeout must be positive and finite, got {timeout}")
         self.command = list(command)
         self.timeout = float(timeout)

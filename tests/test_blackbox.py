@@ -89,7 +89,7 @@ def test_scorer_validation():
         GroundTruthScorer(4, [TRIANGLE], [-1.0])
     with pytest.raises(ConfigurationError):
         GroundTruthScorer(4, [TRIANGLE], [1.0], beta=0.0)
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, "0.5", True, None):
         with pytest.raises(ConfigurationError, match="importances"):
             GroundTruthScorer(4, [TRIANGLE], [bad])
         with pytest.raises(ConfigurationError, match="beta"):
@@ -237,7 +237,7 @@ def test_surrogate_rejects_single_class_data():
         train_linear_surrogate(LabeledDataset(3, (), ()))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.5", True, None])
 def test_train_config_rejects_a_non_finite_learning_rate(bad):
     with pytest.raises(ConfigurationError, match="learning rate"):
         TrainConfig(learning_rate=bad)

@@ -470,13 +470,15 @@ def test_a_blackbox_without_its_source_exits_2(synth_files, tmp_path, capsys, fl
     assert not out.exists()
 
 
-def test_rank_refuses_motifs_over_another_universe(synth_files, tmp_path, capsys):
+@pytest.mark.parametrize("command", [["rank"], ["eval", "expected", "--rho", "0.5"]],
+                         ids=["rank", "eval-expected"])
+def test_motifs_over_another_universe_are_refused(synth_files, tmp_path, capsys, command):
     data_path, _ = synth_files
     motifs31 = tmp_path / "motifs31.json"
     motifs31.write_text(json.dumps({"n": 31, "motifs": [
         {"id": 0, "edges": [[0, 1], [1, 30]]}]}))
     out = tmp_path / "x.json"
-    assert run(["rank", "--dataset", str(data_path), "--motifs", str(motifs31),
+    assert run([*command, "--dataset", str(data_path), "--motifs", str(motifs31),
                 "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err) == {
         "error": "ParameterError", "detail": "motif file over 31 nodes, dataset over 30"}

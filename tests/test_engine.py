@@ -131,6 +131,19 @@ def test_query_budget_examples():
     assert query_budget(np.int64(70), "exact") == 2 ** 70
 
 
+def test_masks_at_least_are_the_ascending_masks_of_that_size():
+    for m in range(11):
+        for s in range(m + 2):
+            want = [x for x in range(1 << m) if x.bit_count() >= s]
+            assert list(engine._masks_at_least(m, s)) == want
+    m = 70
+    for s in (68, 69):
+        masks = engine._masks_at_least(m, s)
+        assert all(a < b for a, b in zip(masks, masks[1:]))
+        assert min(x.bit_count() for x in masks) >= s
+        assert len(masks) == query_budget(m, m - s)
+
+
 def _instance(seed, n=12, n_motifs=3, motif_edges=3):
     rng = philox(seed)
     g = random_graph(n, 0.3, rng)

@@ -261,6 +261,22 @@ time.sleep(10)
         assert bb._proc.poll() is not None
 
 
+def test_a_failed_write_raises_and_ends_the_child(tmp_path):
+    # the peer closes its input before it answers the hello, so the next
+    # request meets a pipe without a reader
+    body = """
+import os, time
+line = sys.stdin.readline()
+os.close(0)
+print(json.dumps({"ready": True}), flush=True)
+time.sleep(30)
+"""
+    with ExternalBlackBox(_script(tmp_path, body)) as bb:
+        with pytest.raises(TransportError, match="write to external black-box failed"):
+            bb.evaluate(Graph(3, [(0, 1)]))
+        assert bb._proc.poll() is not None
+
+
 def test_batch_keeps_requests_in_flight(tmp_path):
     # the peer answers its first request only once it has read a second
     body = """
@@ -331,7 +347,7 @@ def test_empty_command_rejected():
         ExternalBlackBox([])
 
 
-@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0, "0.5", True, None])
 def test_bad_timeout_rejected_before_the_command_starts(tmp_path, timeout):
     # a started command would raise TransportError: it does not exist
     with pytest.raises(ConfigurationError, match="timeout"):

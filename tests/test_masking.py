@@ -154,9 +154,14 @@ def test_average_lists_only_weights_other_than_one():
     assert out == G
 
 
-def test_average_needs_nonempty_background():
-    with pytest.raises(ConfigurationError):
-        MaskingStrategy.average(LabeledDataset(4, (), ()))
+@pytest.mark.parametrize("build, detail", [
+    (lambda: MaskingStrategy.average(LabeledDataset(4, (), ())), "a nonempty background"),
+    (lambda: MaskingStrategy("average", LabeledDataset(5, (), ())), "a nonempty background"),
+    (lambda: MaskingStrategy("average"), "a background"),
+], ids=["factory-empty", "direct-empty", "direct-none"])
+def test_average_needs_nonempty_background(build, detail):
+    with pytest.raises(ConfigurationError, match=f"average masking needs {detail} dataset"):
+        build()
 
 
 def test_average_background_universe_must_match():

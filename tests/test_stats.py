@@ -220,6 +220,8 @@ def test_spearman_examples():
     assert spearman(x, [math.exp(v) for v in x]) == pytest.approx(1.0)
     assert spearman(x, list(reversed(x))) == pytest.approx(-1.0)
     assert spearman(x, [1.0, 3.0, 2.0]) == pytest.approx(0.5)
+    with pytest.raises(ParameterError, match="equal length"):
+        spearman(x, [1.0, 2.0])
 
 
 def test_spearman_with_ties_against_scipy():

@@ -40,6 +40,18 @@ def test_config_validation():
         SynthConfig(**{**ok, "correlation": ((1.0, 0.5), (0.5, 0.9))})
     with pytest.raises(ParameterError):
         SynthConfig(**{**ok, "correlation": ((1.0, 2.0), (2.0, 1.0))})
+    for bad in ("0.5", True, None):
+        with pytest.raises(ParameterError, match="density must lie in"):
+            SynthConfig(**{**ok, "density": bad})
+        with pytest.raises(ParameterError, match="rho entry"):
+            SynthConfig(**{**ok, "rho": (0.5, bad)})
+        with pytest.raises(ParameterError, match="correlation entry"):
+            SynthConfig(**{**ok, "correlation": ((1.0, bad), (bad, 1.0))})
+    assert SynthConfig(**{**ok, "rho": (np.float32(0.5), 1)}).rho == (0.5, 1.0)
+    for field, value, detail in (("n", 1, "at least 2 nodes"),
+                                 ("n_graphs", 0, "graph count must be positive")):
+        with pytest.raises(ParameterError, match=detail):
+            SynthConfig(**{**ok, field: value})
     for seed in (-1, 1.5, True, "7"):
         with pytest.raises(ParameterError, match="seed"):
             SynthConfig(**{**ok, "seed": seed})
@@ -61,6 +73,7 @@ def test_a_numpy_integer_motif_spec_is_sampled():
 
 def test_injection_record_validation():
     InjectionRecord(((1, 0), (-1, 1)))
+    assert InjectionRecord(()).rates() == ()
     with pytest.raises(ParameterError):
         InjectionRecord(((1, 0), (1,)))
     with pytest.raises(ParameterError):
@@ -78,6 +91,9 @@ def test_erdos_renyi_is_deterministic():
 def test_erdos_renyi_density_bounds():
     with pytest.raises(ParameterError):
         erdos_renyi(10, 0.0, philox(0))
+    for bad in ("0.5", True, None):
+        with pytest.raises(ParameterError, match="density must lie in"):
+            erdos_renyi(10, bad, philox(0))
 
 
 def test_erdos_renyi_edge_count_statistics():
