@@ -10,6 +10,13 @@ Serializers sort edge lists by (u, v) so parse -> serialize round-trips
 byte-identically. They build the text from fragments, byte for byte what
 json.dumps(doc, separators=(",", ":")) gives for the same document.
 
+A dataset file in the exact text save_dataset writes, dataset_to_json's
+text with or without one trailing newline, is read by a strict reader
+with numpy over its bytes, without json.loads on its graphs. Any other
+text, valid or not, and any canonical-looking text that breaks one of the
+reader's rules, goes through json.loads, which alone raises, so both paths
+build the same dataset and raise the same errors.
+
 Every file is read as bytes once. The sha256 of the bytes last read from
 or written to each path is kept for manifests (last_digest), and the
 validated result of load_dataset and load_motifs is cached by (kind,
@@ -21,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 import threading
 from collections import OrderedDict
@@ -30,7 +38,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputFormatError, ParameterError, UniverseMismatchError
-from .graphs import Graph, LabeledDataset, Motif, _as_int, all_pairs, unpack_edges
+from .graphs import (
+    Edge, Graph, LabeledDataset, Motif, _as_int, _pack_pairs, all_pairs, unpack_edges,
+)
 
 #: Parsed files the cache keeps, least recently used dropped first.
 PARSE_CACHE_ENTRIES = 4
@@ -126,7 +136,16 @@ def load_dataset(path: str | os.PathLike) -> LabeledDataset:
     return _cached_load(path, "dataset", _parse_dataset)
 
 
+#: What reading a malformed dataset raises
+_MALFORMED_DATASET = (KeyError, TypeError, ValueError, IndexError, ParameterError)
+
+
 def _parse_dataset(path: str | os.PathLike, data: bytes) -> LabeledDataset:
+    dataset = _read_canonical_dataset(data)
+    return dataset if dataset is not None else _parse_dataset_json(path, data)
+
+
+def _parse_dataset_json(path: str | os.PathLike, data: bytes) -> LabeledDataset:
     doc = _decode_json(path, data)
     try:
         n = _as_int(doc["n"], "node count")
@@ -136,8 +155,125 @@ def _parse_dataset(path: str | os.PathLike, data: bytes) -> LabeledDataset:
             labels.append(entry["label"])
             graphs.append(Graph(n, entry["edges"]))
         return LabeledDataset(n, tuple(graphs), tuple(labels), doc.get("injections"))
-    except (KeyError, TypeError, ValueError, IndexError, ParameterError) as exc:
+    except _MALFORMED_DATASET as exc:
         raise InputFormatError(f"{path}: malformed dataset: {exc}") from exc
+
+
+#: Digits of n, a node id or a label in a canonical text, so that n * n and
+#: each pair index fit an int64
+_ID_DIGITS = 9
+
+
+def _scan_ids(b: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """The integers written b[end - length:end] for each end and length, as
+    int64, where b is a text's bytes as uint8 and each end lies at least
+    _ID_DIGITS bytes into it; None when one of them is empty, longer than
+    _ID_DIGITS, has a leading zero or holds a byte other than an ASCII
+    digit. The canonical readers of dataset files and wire requests share
+    it."""
+    if not len(ends):
+        return np.zeros(0, np.int64)
+    width = int(lengths.max())
+    if lengths.min() < 1 or width > _ID_DIGITS:
+        return None
+    # row j of window holds the (width - j)-th last byte of each integer,
+    # as a digit value (other bytes wrap to 10 and above), or 0 before it
+    back = np.arange(width, 0, -1)[:, None]
+    window = b[ends - back]
+    window -= np.uint8(ord("0"))
+    window *= back <= lengths
+    if np.any(window > 9):
+        return None
+    ids = window[0].astype(np.int64)
+    for row in window[1:]:
+        ids = ids * 10 + row
+    if np.any((b[ends - lengths] == ord("0")) & (lengths > 1)):  # a leading zero
+        return None
+    return ids
+
+
+_DATASET_HEAD = re.compile(rb'\{"n":(0|[1-9][0-9]{0,%d}),"graphs":\[' % (_ID_DIGITS - 1))
+_INJECTIONS_KEY = b'],"injections":'
+_GRAPH_HEAD = b'{"label":,"edges":['
+_DIGITS = b"0123456789"
+#: The bytes before and after a number in a graph list, as one big-endian
+#: uint16: a label, the u of an edge, its v
+_LABEL, _U, _V = (int.from_bytes(pair, "big") for pair in (b":,", b"[,", b",]"))
+
+
+def _read_canonical_dataset(data: bytes) -> LabeledDataset | None:
+    """The dataset of data when it is dataset_to_json's text, with or
+    without one trailing newline, or None for any other text. Never raises.
+
+    Without its digits, the graph list must be the skeleton its graphs'
+    edge counts imply, and every digit must belong to a label or a node id:
+    integers without a sign or a leading zero, u < v < n with the pairs of
+    each graph in strictly ascending (u, v) order. So each graph is the one
+    the JSON path builds, and a text that breaks any rule, valid or not, is
+    left to that path and its errors. Only the injection rows, a short
+    tail of brackets, commas, signs and digits, are read with json.loads,
+    and LabeledDataset checks labels and rows: when it raises, so does the
+    JSON path, and the reader returns None."""
+    raw = data[:-1] if data.endswith(b"\n") else data
+    head = _DATASET_HEAD.match(raw)
+    if head is None or not raw.endswith(b"}"):
+        return None
+    n, start = int(head[1]), head.end()
+    cut = raw.find(_INJECTIONS_KEY, start)
+    if cut < 0:
+        cut, injections = len(raw) - 2, None
+        if raw[cut] != ord("]"):
+            return None
+    else:
+        rows = raw[cut + len(_INJECTIONS_KEY):-1]
+        if rows.translate(None, b"[],-" + _DIGITS):
+            return None
+        try:
+            injections = json.loads(rows)
+        except (ValueError, RecursionError):  # RecursionError: nested too deep
+            return None
+    # the graph list without its digits
+    skeleton = raw[start:cut].translate(None, _DIGITS)
+    sizes = [piece.count(b"[,]") for piece in skeleton.split(_GRAPH_HEAD)[1:]]
+    if skeleton != b",".join([_GRAPH_HEAD + b",".join([b"[,]"] * k) + b"]}" for k in sizes]):
+        return None
+    # each number is a maximal run of digits, and the two bytes around it
+    # say what it is; the list's own "[" and "]" bound the first and last
+    b = np.frombuffer(raw, np.uint8)
+    digit = b[start - 1:cut + 1] - np.uint8(ord("0")) <= 9
+    first = np.flatnonzero(digit[:-1] < digit[1:])
+    ends = np.flatnonzero(digit[:-1] > digit[1:])
+    lengths = ends - first
+    first += start
+    ends += start
+    kind = b[first - 1].astype(np.uint16) << 8 | b[ends]
+    del digit, first
+    # a label and two node ids per edge, and no other digit: one stray
+    # between two edges, as in "],9[", leaves the skeleton as it is
+    if (len(ends) != len(sizes) + 2 * sum(sizes)
+            or not np.all((kind == _LABEL) | (kind == _U) | (kind == _V))):
+        return None
+    values = _scan_ids(b, ends, lengths)
+    if values is None:
+        return None
+    label = kind == _LABEL
+    labels = values[label]
+    u, v = values[~label].reshape(-1, 2).T
+    bounds = np.cumsum([0] + sizes)  # each graph's first edge, then the end
+    if len(u):
+        # u < v < n, so u * n + v orders the pairs of a graph as (u, v) does
+        rising = np.diff(u * n + v) > 0
+        rising[bounds[(bounds > 0) & (bounds < len(u))] - 1] = True  # a new graph
+        if np.any(u >= v) or v.max() >= n or not rising.all():
+            return None
+    bounds = bounds.tolist()
+    try:
+        # a universe too large to pack raises MemoryError on either path
+        graphs = tuple(Graph._trusted(n, _pack_pairs(u[a:z], v[a:z], n))
+                       for a, z in zip(bounds, bounds[1:]))
+        return LabeledDataset(n, graphs, tuple(labels.tolist()), injections)
+    except (MemoryError, *_MALFORMED_DATASET):
+        return None
 
 
 @lru_cache(maxsize=8)
@@ -145,6 +281,12 @@ def _edge_fragments(n: int, tail: str = "") -> tuple[str, ...]:
     """Fragment "[u,v<tail>]" of every node pair of an n-node universe, in
     pair_index order: "[u,v]" in files, "[u,v,1.0]" on the wire."""
     return tuple(f"[{u},{v}{tail}]" for u, v in all_pairs(n))
+
+
+@lru_cache(maxsize=8)
+def _edge_fragment_map(n: int) -> dict[Edge, str]:
+    """Fragment "[u,v]" of every node pair (u, v) of an n-node universe."""
+    return dict(zip(all_pairs(n), _edge_fragments(n)))
 
 
 def dataset_to_json(d: LabeledDataset) -> str:
@@ -208,11 +350,13 @@ def remember_motifs(path: str | os.PathLike, n: int, motifs: Sequence[Motif]) ->
 
 def motifs_to_json(n: int, motifs: Sequence[Motif],
                    cs_scores: Sequence[float] | None = None) -> str:
-    """The motif file text; each motif gets its "cs" score when given."""
+    """The motif file text of motifs over nodes 0..n-1; each motif gets its
+    "cs" score when given."""
+    frags = _edge_fragment_map(n)
     entries = []
     for i, m in enumerate(motifs):
         cls = "" if m.class_sign is None else f'"class":{1 if m.class_sign > 0 else 0},'
-        edges = ",".join([f"[{u},{v}]" for u, v in m.sorted_edges()])
+        edges = ",".join([frags[e] for e in m.sorted_edges()])
         cs = "" if cs_scores is None else f',"cs":{json.dumps(cs_scores[i])}'
         entries.append(f'{{"id":{m.id},{cls}"edges":[{edges}]{cs}}}')
     return f'{{"n":{n},"motifs":[{",".join(entries)}]}}'

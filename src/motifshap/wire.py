@@ -37,7 +37,7 @@ import numpy as np
 
 from .blackbox import BlackBox
 from .errors import ConfigurationError, InputFormatError, ParameterError, TransportError
-from .files import _edge_fragments
+from .files import _ID_DIGITS, _edge_fragments, _scan_ids
 from .graphs import Graph, _as_int, _is_real, _pack_pairs, _weighted_graph, pair_index, unpack_edges
 
 PROTOCOL_HELLO = "motif-shap/1"
@@ -56,14 +56,10 @@ def _request_line(rid: int, g: Graph) -> bytes:
     return f'{{"id":{rid},"n":{g.n},"edges":[{",".join(parts)}]}}\n'.encode("ascii")
 
 
-#: Digits of n and of each node id in a canonical request, so that n * n
-#: and each pair index fit an int64; its id has at most 18, far from the
-#: digit limit of int()
-_ID_DIGITS = 9
+#: n and each node id in a canonical request have at most _ID_DIGITS digits,
+#: and its id at most 18, far from the digit limit of int()
 _CANONICAL_HEAD = re.compile(
     rb'\{"id":(0|[1-9][0-9]{0,17}),"n":(0|[1-9][0-9]{0,%d}),"edges":\[' % (_ID_DIGITS - 1))
-#: The least node id of each digit count without a leading zero
-_LEAST_ID = np.array([0] + [10 ** i for i in range(1, _ID_DIGITS)], np.int64)
 #: JSON numbers without a sign, joined by ","
 _NUMBER = rb"(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 _CANONICAL_WEIGHTS = re.compile(_NUMBER + rb"(?:," + _NUMBER + rb")*")
@@ -111,20 +107,8 @@ def _decode_request(line: str) -> tuple[int, int, np.ndarray, np.ndarray, dict |
     first, second, closing = comma[:, 0], comma[:, 1], comma[:, 2] - 1
     # node ids: digits only, 1 to _ID_DIGITS of them, no leading zero
     ends = np.concatenate((first, second))
-    lengths = ends - np.concatenate(([head.end()], comma[:-1, 2] + 1, first)) - 1
-    width = int(lengths.max())
-    if lengths.min() < 1 or width > _ID_DIGITS:
-        return None
-    # row j of window holds the (width - j)-th last byte of each id, as a
-    # digit value (other bytes wrap to 10 and above), or 0 before the id
-    window = (b - np.uint8(ord("0")))[ends - np.arange(width, 0, -1)[:, None]]
-    window *= np.arange(width, 0, -1)[:, None] <= lengths
-    if np.any(window > 9):
-        return None
-    ids = window[0].astype(np.int64)
-    for row in window[1:]:
-        ids = ids * 10 + row
-    if np.any(ids < _LEAST_ID[lengths - 1]):  # a leading zero
+    ids = _scan_ids(b, ends, ends - np.concatenate(([head.end()], comma[:-1, 2] + 1, first)) - 1)
+    if ids is None:
         return None
     u, v = ids[:k], ids[k:]
     # u < v < n, so u * n + v orders the pairs as (u, v) does
