@@ -13,15 +13,10 @@ terms whose masked sets lie within distance d of the fully-masked
 lattice node (|S| >= |M| - d) and at d = |M| reproduces the exact result
 bit for bit.
 
-Coalitions whose masked graphs are identical are merged into one query.
-evaluate_lattice keys each coalition by lookups in its MaskTables
-(masking.py), an int of at most sum(|motif|) bits that is equal for two
-coalitions exactly when their masked graphs are. It walks the ascending
-masks in blocks that share mask >> masking.CHUNK: the block's high key
-is looked up once, so each coalition costs one low-table lookup, one OR
-and one dict probe. A masked graph is built only for a key not seen
-before, so the black box sees the distinct graphs in first-occurrence
-order, in batches of BATCH_SIZE.
+Coalitions whose masked graphs are identical are merged into one query:
+evaluate_lattice asks its MaskTables (masking.py) which coalitions have
+distinct masked graphs, and the black box sees those graphs in order of
+first occurrence, in batches of BATCH_SIZE.
 
 Each score is one math.fsum over its marginal terms. fsum is correctly
 rounded, so the result does not depend on the order of the terms or of
@@ -32,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -46,7 +40,7 @@ from .errors import (
     UniverseMismatchError,
 )
 from .graphs import Graph, Motif, _as_int
-from .masking import MaskingStrategy, MaskTables, blocks
+from .masking import MaskingStrategy, MaskTables
 
 #: Largest motif set exact_explain will enumerate (2^20 coalitions).
 DEFAULT_EXACT_LIMIT = 20
@@ -183,42 +177,22 @@ def evaluate_lattice(g: Graph, bb: BlackBox, motifs: Sequence[Motif],
                      strategy: MaskingStrategy,
                      masks: Sequence[int]) -> CoalitionLattice:
     """Evaluate the black box on the given masked-set bitmasks (ascending),
-    merging coalitions whose masked graphs are identical. The masks are
-    walked block by block (masking.blocks): a block's high key is looked
-    up once, and its graphs' high union only when the block first meets
-    a key not seen before. Distinct graphs go to bb.evaluate_batch in
-    first-occurrence order, in batches of BATCH_SIZE as they are found."""
+    merging coalitions whose masked graphs are identical. Distinct graphs
+    go to bb.evaluate_batch in first-occurrence order, in batches of
+    BATCH_SIZE."""
     m = len(motifs)
     # int64 holds the masks of up to 63 motifs; beyond that, Python ints
     masks = np.asarray(masks, dtype=np.int64 if m < 64 else object)
     tables = MaskTables(strategy, g, motifs)
-    low_keys = tables.low_keys
-    slot_by_key: dict[int, int] = {}
-    slots = array("q")
+    slots, firsts = tables.distinct(masks)
     slot_values: list[float] = []
-    pending: list[Graph] = []
-    probe, record = slot_by_key.get, slots.append
-    for high, lows in blocks(masks):
-        high_key, graph_of = tables.high_key(high), None
-        for low in lows:
-            key = high_key | low_keys[low]
-            slot = probe(key)
-            if slot is None:
-                slot = slot_by_key[key] = len(slot_by_key)
-                graph_of = graph_of or tables.block(high)
-                pending.append(graph_of(low))
-                if len(pending) == BATCH_SIZE:
-                    slot_values += bb.evaluate_batch(pending)
-                    pending = []
-            record(slot)
-    if pending:
-        slot_values += bb.evaluate_batch(pending)
-    slot_of = np.frombuffer(slots, dtype=np.int64)
+    for i in range(0, len(firsts), BATCH_SIZE):
+        slot_values += bb.evaluate_batch(tables.graphs(firsts[i:i + BATCH_SIZE]))
     return CoalitionLattice(
         n_motifs=m,
         masks=masks,
-        values=np.asarray(slot_values, dtype=np.float64)[slot_of],
-        slots=slot_of,
+        values=np.asarray(slot_values, dtype=np.float64)[slots],
+        slots=slots,
     )
 
 

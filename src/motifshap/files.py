@@ -157,6 +157,14 @@ def _parse_dataset_json(path: str | os.PathLike, data: bytes) -> LabeledDataset:
         return LabeledDataset(n, tuple(graphs), tuple(labels), doc.get("injections"))
     except _MALFORMED_DATASET as exc:
         raise InputFormatError(f"{path}: malformed dataset: {exc}") from exc
+    except MemoryError as exc:
+        raise _too_large(path, n) from exc
+
+
+def _too_large(path: str | os.PathLike, n: int) -> InputFormatError:
+    """The error for a universe whose node-pair flags numpy cannot allocate."""
+    return InputFormatError(
+        f"{path}: n = {n} is too large: its {n * (n - 1) // 2} node pairs do not fit in memory")
 
 
 #: Digits of n, a node id or a label in a canonical text, so that n * n and
@@ -370,9 +378,12 @@ def save_motifs(n: int, motifs: Sequence[Motif], path: str | os.PathLike,
 def load_graph_file(path: str | os.PathLike) -> Graph:
     doc = _read_json(path)
     try:
-        return Graph(_as_int(doc["n"], "node count"), doc["edges"])
+        n = _as_int(doc["n"], "node count")
+        return Graph(n, doc["edges"])
     except (KeyError, TypeError, ValueError, IndexError, ParameterError) as exc:
         raise InputFormatError(f"{path}: malformed graph file: {exc}") from exc
+    except MemoryError as exc:
+        raise _too_large(path, n) from exc
 
 
 def load_correlation(spec: str, n_m: int) -> tuple[tuple[float, ...], ...] | None:

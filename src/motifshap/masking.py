@@ -27,13 +27,6 @@ key bits and, for average, the union's background frequencies other
 than 1.0. A subset's entry is the join of one entry per chunk. Tables
 belong to one graph and one motif list; nothing is kept across them.
 
-Masks are walked in blocks (blocks()): a block is a run of ascending
-masks that share high = mask >> CHUNK, so they differ only in the low
-chunk. The join of the high chunks' entries is taken once per block
-(high_key, and block for the graphs), and each mask of the block adds
-one entry of the low chunk's table. key(mask) and graph(mask) are that
-walk over the block of one mask.
-
 Every masked graph equals g outside W, and on W it depends only on U,
 and only on U's edges where masking changes something: all of W for
 toggle, W's edges of g for remove, and for average the edges of W other
@@ -46,14 +39,23 @@ exactly when their masked graphs are equal. The masked graph itself is
 an integer operation on the edge bits, built only when asked for:
 AND-NOT (remove), XOR (toggle) or OR (average) with U's bits, without
 re-validation.
+
+The masks of a lattice are walked in runs of ascending masks that share
+high = mask >> CHUNK, so they differ only in the low chunk. distinct()
+joins the high chunks' key entries once per run, then numbers each
+mask's graph, in order of first occurrence, by one low-table lookup, one
+OR and one dict probe. graphs() joins the high chunks' unions (and, for
+average, frequencies) again only when mask >> CHUNK changes, so the
+ascending first masks that distinct() returns cost one join per run.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from operator import or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -99,7 +101,7 @@ class MaskingStrategy:
         masked in g. An empty motif collection returns an unweighted g
         itself."""
         motifs = tuple(motifs)
-        return MaskTables(self, g, motifs).graph((1 << len(motifs)) - 1)
+        return MaskTables(self, g, motifs).graphs([(1 << len(motifs)) - 1])[0]
 
 
 def _doubled(items: list, empty, join) -> list:
@@ -114,26 +116,12 @@ def _merged(a: dict, b: dict) -> dict:
     return {**a, **b}
 
 
-def blocks(masks: np.ndarray) -> Iterator[tuple[int, Sequence[int]]]:
-    """(high, lows) for each run of the ascending masks that share
-    high = mask >> CHUNK; lows are the run's masks & (2^CHUNK - 1)."""
-    highs = masks >> CHUNK
-    starts = [0, *(np.flatnonzero(highs[1:] != highs[:-1]) + 1).tolist()]
-    highs = highs[starts].tolist()
-    if len(masks) == len(starts) << CHUNK:
-        # every run holds all 2^CHUNK low chunks, as in a full lattice
-        return zip(highs, itertools.repeat(range(1 << CHUNK)))
-    lows = (masks & _LOW).tolist()
-    ends = starts[1:] + [len(masks)]
-    return ((high, lows[a:b]) for high, a, b in zip(highs, starts, ends))
-
-
 class MaskTables:
     """Lookup tables that mask every subset of one motif list in one graph,
     built from one pass over W (see the module docstring).
 
-    key(mask) identifies the masked graph of a subset and graph(mask)
-    builds it; equal keys mean equal graphs.
+    distinct(masks) numbers the masked graphs of a lattice's masks by
+    their keys, and graphs(masks) builds them.
     """
 
     def __init__(self, strategy: MaskingStrategy, g: Graph, motifs: Sequence[Motif]):
@@ -164,62 +152,87 @@ class MaskTables:
 
         bits = [sum(bit[e] for e in m.edges) for m in motifs]
         keys = [sum(key_bit[e] for e in m.edges) for m in motifs]
-        #: key bits of each subset of the low chunk's motifs
-        self.low_keys, *self._high_keys = tables(keys, 0, or_)
-        self._low_unions, *self._high_unions = tables(bits, 0, or_)
+        # one table per chunk and family; the first chunk's is the low table
+        self._keys = tables(keys, 0, or_)
+        self._unions = tables(bits, 0, or_)
         if kind == "average":
             freqs = [{e: freq[e] for e in m.edges if freq[e] != 1.0} for m in motifs]
-            self._low_freqs, *self._high_freqs = tables(freqs, {}, _merged)
+            self._freqs = tables(freqs, {}, _merged)
             # g's weights off W always stay; those on W give way to U's frequencies
             self._off_w = {e: x for e, x in weights.items() if e not in bit}
             self._on_w = [(e, x, bit[e]) for e, x in weights.items() if e in bit]
 
-    def high_key(self, high: int) -> int:
-        """The key bits of the high chunks' motifs in every mask of the
-        block high; a mask's key is this OR low_keys[mask & (2^CHUNK - 1)]."""
-        key = 0
-        for table in self._high_keys:
-            key |= table[high & _LOW]
-            high >>= CHUNK
-        return key
-
-    def block(self, high: int) -> Callable[[int], Graph]:
-        """The masked graph of the subset high << CHUNK | low, as a
-        function of low."""
-        g, kind, lows = self._g, self._kind, self._low_unions
-        high_union, rest = 0, high
-        for table in self._high_unions:
-            high_union |= table[rest & _LOW]
-            rest >>= CHUNK
-        if kind == "average":
-            low_freqs, high_freqs, rest = self._low_freqs, [], high
-            for table in self._high_freqs:
-                high_freqs.append(table[rest & _LOW])
+    def distinct(self, masks: np.ndarray) -> tuple[np.ndarray, Sequence[int]]:
+        """(slots, firsts) for the ascending masks, an int64 array (object
+        for 64 or more motifs): slots[j] numbers the masked graph of
+        masks[j] among the distinct ones, in order of first occurrence,
+        and firsts[q] is the first mask whose graph is the q-th distinct
+        one."""
+        highs = masks >> CHUNK
+        starts = [0, *(np.flatnonzero(highs[1:] != highs[:-1]) + 1).tolist()]
+        highs = highs[starts].tolist()
+        if len(masks) == len(starts) << CHUNK:
+            # every run holds all 2^CHUNK low chunks, as in a full lattice
+            runs = zip(highs, itertools.repeat(range(1 << CHUNK)))
+        else:
+            all_lows = (masks & _LOW).tolist()
+            ends = starts[1:] + [len(masks)]
+            runs = ((high, all_lows[a:b]) for high, a, b in zip(highs, starts, ends))
+        low_table, *high_tables = self._keys
+        slot_by_key: dict[int, int] = {}
+        # an array keeps no int object per distinct graph; masks past int64
+        # (64 or more motifs) are Python ints, and go in a list
+        firsts = [] if masks.dtype == object else array("q")
+        slots = array("q")
+        probe, record = slot_by_key.get, slots.append
+        for high, run_lows in runs:
+            run_key, rest = 0, high
+            for table in high_tables:
+                run_key |= table[rest & _LOW]
                 rest >>= CHUNK
+            for low in run_lows:
+                key = run_key | low_table[low]
+                slot = probe(key)
+                if slot is None:
+                    slot = slot_by_key[key] = len(firsts)
+                    firsts.append(high << CHUNK | low)
+                record(slot)
+        return np.frombuffer(slots, dtype=np.int64), firsts
 
-        def graph(low: int) -> Graph:
-            union = high_union | lows[low]
+    def graphs(self, masks: Iterable[int]) -> list[Graph]:
+        """g with the motifs of each mask masked, in the order given."""
+        g, kind = self._g, self._kind
+        low_unions, *high_unions = self._unions
+        if kind == "average":
+            low_freqs, *high_freq_tables = self._freqs
+        out, last = [], None
+        for mask in masks:
+            high, low = mask >> CHUNK, mask & _LOW
+            if high != last:
+                last, high_union, rest = high, 0, high
+                for table in high_unions:
+                    high_union |= table[rest & _LOW]
+                    rest >>= CHUNK
+                if kind == "average":
+                    high_freqs, rest = [], high
+                    for table in high_freq_tables:
+                        high_freqs.append(table[rest & _LOW])
+                        rest >>= CHUNK
+            union = high_union | low_unions[low]
             if not union and g.weights is None:
-                return g
-            if kind == "remove":
-                return Graph._trusted(g.n, g.edge_bits & ~union)
-            if kind == "toggle":
-                return Graph._trusted(g.n, g.edge_bits ^ union)
-            # average: union edges are present at their background frequency
-            # (possibly 0.0); other edges keep the weight they have in g
-            weights = dict(self._off_w)
-            weights.update((e, x) for e, x, b in self._on_w if not union & b)
-            weights.update(low_freqs[low])
-            for entry in high_freqs:
-                weights.update(entry)
-            return Graph._trusted(g.n, g.edge_bits | union, weights or None)
-
-        return graph
-
-    def key(self, mask: int) -> int:
-        """U & relevant in dense W coordinates for the subset mask."""
-        return self.high_key(mask >> CHUNK) | self.low_keys[mask & _LOW]
-
-    def graph(self, mask: int) -> Graph:
-        """g with the motifs of the subset mask masked."""
-        return self.block(mask >> CHUNK)(mask & _LOW)
+                masked = g
+            elif kind == "remove":
+                masked = Graph._trusted(g.n, g.edge_bits & ~union)
+            elif kind == "toggle":
+                masked = Graph._trusted(g.n, g.edge_bits ^ union)
+            else:
+                # average: union edges are present at their background
+                # frequency (possibly 0.0); other edges keep their weight in g
+                weights = dict(self._off_w)
+                weights.update((e, x) for e, x, b in self._on_w if not union & b)
+                weights.update(low_freqs[low])
+                for entry in high_freqs:
+                    weights.update(entry)
+                masked = Graph._trusted(g.n, g.edge_bits | union, weights or None)
+            out.append(masked)
+        return out

@@ -54,7 +54,7 @@ def golden_average_lattice() -> list[Graph]:
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 9), (5, 6), (10, 11), (10, 12), (21, 22)]
     weights = {(1, 2): 0.25, (2, 3): 0.5, (4, 9): 0.75, (5, 6): 0.3, (10, 11): 0.125}
     tables = MaskTables(MaskingStrategy.average(d), Graph(30, edges, weights), motifs)
-    return [tables.graph(s) for s in range(1 << len(motifs))]
+    return tables.graphs(range(1 << len(motifs)))
 
 
 def random_connected_motif(motif_id: int, n: int, n_edges: int,

@@ -510,6 +510,30 @@ def test_malformed_dataset_exits_3(tmp_path, capsys, text):
     assert json.loads(capsys.readouterr().err)["error"] == "InputFormatError"
 
 
+@pytest.mark.parametrize("reader", ["dataset", "graph"])
+def test_a_universe_too_large_to_pack_exits_3(synth_files, tmp_path, capsys, reader):
+    # n(n-1)/2 = 5e17 flag bytes, which numpy refuses at once
+    _, motif_path = synth_files
+    bad = tmp_path / "huge.json"
+    bad.write_text('{"n":999999999,"graphs":[{"label":0,"edges":[[0,1]]}]}' if reader == "dataset"
+                   else '{"n":999999999,"edges":[[0,1]]}')
+    out = tmp_path / "out.json"
+    argv = {
+        "dataset": ["mine", "--dataset", str(bad), "--support", "1", "--max-size", "2",
+                    "--out", str(out)],
+        "graph": ["explain", "--motifs", str(motif_path), "--graph", str(bad),
+                  "--rho", "0.2,0.6,1.0", "--out", str(out)],
+    }[reader]
+    assert run(argv) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "InputFormatError",
+        "detail": f"{bad}: n = 999999999 is too large: its 499999998500000001 node pairs "
+                  "do not fit in memory"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("reader", ["dataset", "motifs", "graph", "corr", "config"])
 @pytest.mark.parametrize("raw, detail", [
     (b'\xff{"n": 3}', "{path}: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from motifshap import engine
+from motifshap.masking import MaskTables
 from motifshap.wire import _request_line
 from motifshap import (
     ConfigurationError,
@@ -520,6 +521,34 @@ def test_three_chunks_of_overlapping_motifs_match_the_reference(monkeypatch):
     for strat in (MaskingStrategy.remove(), MaskingStrategy.toggle()):
         assert_matches_reference(g, surrogate, motifs, strat)
         assert exact_explain(g, surrogate, motifs, strat).query_count < 2 ** len(motifs)
+
+
+@pytest.mark.parametrize("kind", ["remove", "toggle", "average"])
+def test_mask_tables_number_and_build_the_masked_graphs_of_any_masks(kind):
+    g, motifs = _three_chunk_instance()
+    strat = {"remove": MaskingStrategy.remove(), "toggle": MaskingStrategy.toggle(),
+             "average": MaskingStrategy.average(KEY_BACKGROUND)}[kind]
+    tables = MaskTables(strat, g, motifs)
+    m = len(motifs)
+    full = (1 << m) - 1
+    # out of order and repeated, in and out of both high chunks: graphs
+    # joins a run's high chunks again whenever mask >> CHUNK changes
+    masks = [full, 0, full, 1 << 4, 3, 1 << 8 | 5, 1 << 4]
+    assert tables.graphs(masks) == [
+        strat.mask(g, [mot for i, mot in enumerate(motifs) if s >> i & 1]) for s in masks]
+    whole, _ = tables.distinct(np.arange(1 << m))
+    for size in range(m + 1):
+        # size 0 is the full lattice, whose runs all hold 2^CHUNK masks;
+        # every other size starts mid-run
+        masks = np.asarray(engine._masks_at_least(m, size))
+        slots, firsts = tables.distinct(masks)
+        # the same partition as the full lattice's, restricted to masks
+        same = set(zip(slots.tolist(), whole[masks].tolist()))
+        assert len(same) == len(set(slots.tolist())) == len(set(whole[masks].tolist()))
+        # slots number the graphs in order of first occurrence
+        numbered, first = np.unique(slots, return_index=True)
+        assert numbered.tolist() == list(range(len(firsts)))
+        assert np.all(np.diff(first) > 0) and masks[first].tolist() == list(firsts)
 
 
 def test_average_merges_coalitions_only_where_weights_equal_frequencies(monkeypatch):

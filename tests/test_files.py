@@ -207,9 +207,10 @@ def test_single_byte_mutations_read_as_the_json_path_reads_them():
 
 
 def test_a_universe_too_large_to_pack_is_left_to_the_json_path():
-    # canonical text whose graph needs n(n-1)/2 = 5e17 flag bytes: the strict
-    # reader returns None, and the JSON path raises as it always has
+    # canonical text whose graph needs n(n-1)/2 = 5e17 flag bytes, which
+    # numpy refuses at once: the strict reader returns None, and the JSON
+    # path raises a typed error that names n
     data = b'{"n":999999999,"graphs":[{"label":0,"edges":[[0,1]]}]}'
     assert _read_canonical_dataset(data) is None
-    with pytest.raises(MemoryError):
+    with pytest.raises(InputFormatError, match="n = 999999999 is too large"):
         _parse_dataset("data.json", data)

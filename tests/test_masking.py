@@ -1,6 +1,7 @@
 from collections import defaultdict
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from motifshap import (
@@ -215,7 +216,7 @@ def test_equal_keys_exactly_when_masked_graphs_are_equal_seeded():
     for seed in range(25):
         rng = philox(3000 + seed)
         # the last list spans three chunks, so keys and graphs are read
-        # block by block across two high chunks
+        # run by run across two high chunks
         m, edges = (10, 2) if seed == 24 else (2 + seed % 5, 1 + seed % 3)
         motifs = random_motif_set(6, m, edges, rng)
         seen["overlap"] += any(a.edges & b.edges for a, b in combinations(motifs, 2))
@@ -228,8 +229,8 @@ def test_equal_keys_exactly_when_masked_graphs_are_equal_seeded():
             for g in (plain, weighted):
                 for strat in (*shared, averages[n]):
                     tables = MaskTables(strat, g, motifs)
-                    keys = [tables.key(s) for s in range(1 << m)]
-                    graphs = [tables.graph(s) for s in range(1 << m)]
+                    keys = tables.distinct(np.arange(1 << m))[0].tolist()
+                    graphs = tables.graphs(range(1 << m))
                     if m >= 9:
                         # all pairs of 2^m subsets would be slow: compare
                         # the subsets grouped by key and grouped by graph

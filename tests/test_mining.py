@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from motifshap import (
@@ -76,6 +77,7 @@ def test_support_threshold_above_dataset_rejected():
             MinerConfig(*bad)
     with pytest.raises(ParameterError, match="label filter"):
         MinerConfig(2, 3, label=2)
+    assert MinerConfig(2, 3, label=np.int64(1)).label == 1
 
 
 def test_label_filtered_mining():
@@ -88,6 +90,9 @@ def test_label_filtered_mining():
     assert found1 == set()
     with pytest.raises(ParameterError):
         mine(d, MinerConfig(3, 3, label=0))  # only 2 graphs have label 0
+    # a numpy-integer label filters as the int does
+    found1 = mine(d, MinerConfig(1, 3, label=1))
+    assert found1 and mine(d, MinerConfig(1, 3, label=np.int64(1))) == found1
 
 
 def test_mine_matches_brute_force_random():
